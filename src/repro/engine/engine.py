@@ -38,14 +38,12 @@ import numpy as np
 from ..data.partition import UserData
 from ..data.synthetic import Dataset
 from ..device.device import MobileDevice
-from ..device.workload import TrainingWorkload
-from ..models.flops import model_training_flops
 from ..models.network import Sequential
 from ..models.zoo import model_wire_mb
 from ..network.link import Link
-from ..network.transfer import round_comm_cost
 from ..obs.prof import PROFILER
 from .aggregation import AggregationStrategy, StalenessWeighted, SyncFedAvg
+from .backend import ComputeBackend, DeviceBackend
 from .events import (
     ClientDispatched,
     ClientDropped,
@@ -155,16 +153,18 @@ class RoundEngine:
         Communication shape; defaults to a star (parameter server).
     devices, links:
         Optional per-user device simulators and network links for the
-        virtual clock. Without devices rounds report zero time.
+        virtual clock (driven through a
+        :class:`~repro.engine.backend.DeviceBackend`). Without devices
+        or a fleet rounds report zero time.
     dropout:
         Optional deadline-based straggler-dropout policy (sync driver
         only); requires ``devices`` or ``fleet``.
     fleet:
         Optional :class:`~repro.fleet.store.FleetStore` replacing
-        ``devices``/``links`` with a columnar population: battery
-        gating, compute/comm time and idle-to-barrier evaluate as
-        vectorized array ops. Mutually exclusive with
-        ``devices``/``links``; must cover exactly one device per user.
+        ``devices``/``links`` with a columnar population that is its
+        own :class:`~repro.engine.backend.ComputeBackend`. Mutually
+        exclusive with ``devices``/``links``; must cover exactly one
+        device per user.
     cohort_sampler, cohort_size:
         Optional per-round cohort sampling (see
         :mod:`repro.fleet.sampling`): when the eligible set exceeds
@@ -218,7 +218,14 @@ class RoundEngine:
         self.devices = list(devices) if devices is not None else None
         self.links = list(links) if links is not None else None
         self.fleet = fleet
-        if dropout is not None and devices is None and fleet is None:
+        #: the one device seam every driver goes through; ``None`` when
+        #: the engine simulates no hardware (rounds take zero time)
+        self.backend: Optional[ComputeBackend] = fleet
+        if self.devices is not None:
+            self.backend = DeviceBackend(
+                self.devices, self.links, model, batch_size
+            )
+        if dropout is not None and self.backend is None:
             raise ValueError(
                 "straggler dropout needs devices (deadlines are defined "
                 "over simulated round times)"
@@ -246,10 +253,9 @@ class RoundEngine:
         self.bus = bus or EventBus()
 
         self._scratch = model.clone()
-        self._flops = model_training_flops(model)
         #: per-user data sizes as one column — the hot paths (battery
-        #: gating, vectorized dispatch) index this instead of walking
-        #: UserData objects
+        #: gating, dispatch) index this instead of walking UserData
+        #: objects
         self._user_sizes = np.array(
             [u.size for u in self.users], dtype=np.int64
         )
@@ -305,46 +311,19 @@ class RoundEngine:
             return int(self._round_samples[j])
         return self.users[j].size
 
-    @property
-    def _has_hardware(self) -> bool:
-        """Whether rounds have simulated time/energy at all (either an
-        object-per-client device list or a columnar fleet)."""
-        return self.devices is not None or self.fleet is not None
-
     def battery_soc(self, j: int) -> Optional[float]:
         """User j's current state of charge, or ``None`` without
         devices."""
-        if self.fleet is not None:
-            return self.fleet.soc_one(j)
-        if self.devices is None:
+        if self.backend is None:
             return None
-        return self.devices[j].battery.soc
-
-    def battery_ok(self, j: int) -> bool:
-        """Whether user j's device has charge to spare this round."""
-        if not self._has_hardware or self.min_soc <= 0.0:
-            return True
-        soc = self.battery_soc(j)
-        return soc is None or soc >= self.min_soc
+        return float(self.backend.soc(np.array([j]))[0])
 
     def eligible_clients(self) -> List[int]:
         """Users holding data whose battery clears the participation
-        floor, in dispatch order.
-
-        Vectorized: one boolean mask over the data-size column and (at
-        most) one SoC array built per round — never a per-client Python
-        call chain on this hot path.
-        """
+        floor, in dispatch order (one vectorized mask per round)."""
         mask = self._user_sizes > 0
-        if self.fleet is not None:
-            mask &= self.fleet.eligible_mask(self.min_soc)
-        elif self.devices is not None and self.min_soc > 0.0:
-            soc = np.fromiter(
-                (d.battery.soc for d in self.devices),
-                dtype=np.float64,
-                count=len(self.devices),
-            )
-            mask &= soc >= self.min_soc
+        if self.backend is not None:
+            mask &= self.backend.eligible_mask(self.min_soc)
         out: List[int] = np.flatnonzero(mask).tolist()
         return out
 
@@ -355,36 +334,12 @@ class RoundEngine:
         ``(compute_seconds, energy_joules)`` — the simulated compute
         time and the battery energy drained (thermal/battery state
         persists). Without devices both are 0.0."""
-        if self.fleet is not None:
-            return self.fleet.run_compute_one(
-                j, self._client_samples(j), epochs
-            )
-        if self.devices is None:
+        if self.backend is None:
             return 0.0, 0.0
-        workload = TrainingWorkload(
-            flops_per_sample=self._flops,
-            n_samples=self._client_samples(j),
-            batch_size=self.batch_size,
-            epochs=epochs,
-            model_name=self.model.name,
+        seconds, joules = self.backend.run_compute(
+            np.array([j]), np.array([self._client_samples(j)]), epochs
         )
-        trace = self.devices[j].run_workload(workload, record=False)
-        return trace.total_time_s, trace.energy_j
-
-    def client_compute_time(self, j: int, epochs: int = 1) -> float:
-        """Simulated compute seconds of user j's local workload (see
-        :meth:`client_compute`, which also reports energy)."""
-        return self.client_compute(j, epochs=epochs)[0]
-
-    def client_comm_time(self, j: int) -> float:
-        """Round-trip model transfer seconds over user j's link."""
-        if self.fleet is not None:
-            return self.fleet.comm_time_one(
-                j, model_wire_mb(self.model)
-            )
-        if self.links is None:
-            return 0.0
-        return round_comm_cost(self.model, self.links[j]).total_s
+        return float(seconds[0]), float(joules[0])
 
     def _train_client(
         self, j: int, start_weights: np.ndarray, epochs: int
@@ -432,113 +387,51 @@ class RoundEngine:
         out: List[int] = np.asarray(chosen, dtype=np.int64).tolist()
         return out
 
-    def _dispatch_round(
-        self, round_idx: int, participants: Sequence[int]
+    def _dispatch(
+        self, round_idx: int, idx: np.ndarray, comm: bool
     ) -> np.ndarray:
-        """Run every participant's workload on its device and return
-        per-user round times (compute + comm), emitting dispatch and
-        completion events in client order."""
-        times = np.zeros(len(self.users))
-        if self.fleet is not None and len(participants) > 0:
-            return self._dispatch_round_fleet(
-                round_idx, participants, times
-            )
-        for j in participants:
-            self.bus.emit(
-                ClientDispatched(
-                    round_idx=round_idx,
-                    client_id=j,
-                    n_samples=self._client_samples(j),
-                    time_s=self.clock_s,
-                )
-            )
-            compute_s = 0.0
-            comm_s = 0.0
-            energy_j: Optional[float] = None
-            if self.devices is not None:
-                compute_s, energy_j = self.client_compute(
-                    j, epochs=self.local_epochs
-                )
-                comm_s = self.client_comm_time(j)
-            times[j] = compute_s + comm_s
-            self.bus.emit(
-                ClientFinished(
-                    round_idx=round_idx,
-                    client_id=j,
-                    compute_s=compute_s,
-                    comm_s=comm_s,
-                    total_s=times[j],
-                    time_s=self.clock_s + times[j],
-                    energy_j=energy_j,
-                    battery_soc=self.battery_soc(j),
-                )
-            )
-        return times
-
-    def _dispatch_round_fleet(
-        self,
-        round_idx: int,
-        participants: Sequence[int],
-        times: np.ndarray,
-    ) -> np.ndarray:
-        """Columnar dispatch: one vectorized compute/comm/drain pass
-        over the participant index array, then events in client order.
-
-        Performs the same float64 operations as the object path's
-        scalar loop (the store's scalar and vector ops share their
-        arithmetic), so the emitted event stream is bit-identical.
-        """
-        fleet = self.fleet
-        assert fleet is not None
-        idx = np.asarray(list(participants), dtype=np.int64)
+        """Run the workloads of the clients in ``idx`` on the backend,
+        narrate them in client order and return per-user round seconds:
+        compute, plus the model round trip when ``comm``; zero for users
+        outside ``idx``."""
         if self._round_samples is not None:
             samples = self._round_samples[idx]
         else:
             samples = self._user_sizes[idx]
-        compute_s, energy_j = fleet.run_compute(
-            idx, samples, epochs=self.local_epochs
+        compute_s = comm_s = np.zeros(len(idx))
+        energy_j: Optional[np.ndarray] = None
+        soc: Optional[np.ndarray] = None
+        if self.backend is not None:
+            compute_s, energy_j = self.backend.run_compute(
+                idx, samples, self.local_epochs
+            )
+            if comm:
+                comm_s = self.backend.comm_time_s(
+                    idx, model_wire_mb(self.model)
+                )
+            soc = self.backend.soc(idx)
+        self.bus.emit_clients(
+            round_idx,
+            idx,
+            samples,
+            self.clock_s,
+            compute_s,
+            comm_s,
+            energy_j=energy_j,
+            battery_soc=soc,
         )
-        comm_s = fleet.comm_time_s(idx, model_wire_mb(self.model))
+        times = np.zeros(len(self.users))
         times[idx] = compute_s + comm_s
-        soc = fleet.soc(idx)
-        for i, j in enumerate(idx.tolist()):
-            self.bus.emit(
-                ClientDispatched(
-                    round_idx=round_idx,
-                    client_id=j,
-                    n_samples=int(samples[i]),
-                    time_s=self.clock_s,
-                )
-            )
-            self.bus.emit(
-                ClientFinished(
-                    round_idx=round_idx,
-                    client_id=j,
-                    compute_s=float(compute_s[i]),
-                    comm_s=float(comm_s[i]),
-                    total_s=times[j],
-                    time_s=self.clock_s + times[j],
-                    energy_j=float(energy_j[i]),
-                    battery_soc=float(soc[i]),
-                )
-            )
         return times
 
     def _idle_to_barrier(self, times: np.ndarray, makespan: float) -> None:
         """Let fast devices cool down while waiting for the straggler."""
-        if self.fleet is not None:
-            wait = makespan - times + self.aggregation_s
-            mask = (self._user_sizes > 0) & (wait > 0)
-            waiting = np.flatnonzero(mask)
-            if waiting.size:
-                self.fleet.idle(waiting, wait[waiting])
+        if self.backend is None:
             return
-        if self.devices is None:
-            return
-        for j, user in enumerate(self.users):
-            wait = makespan - times[j] + self.aggregation_s
-            if user.size > 0 and wait > 0:
-                self.devices[j].idle(wait)
+        wait = makespan - times + self.aggregation_s
+        waiting = np.flatnonzero((self._user_sizes > 0) & (wait > 0))
+        if waiting.size:
+            self.backend.idle(waiting, wait[waiting])
 
     def run_sync_round(self, train: bool = True) -> RoundRecord:
         """One synchronous round: dispatch, barrier, aggregate, record.
@@ -599,7 +492,9 @@ class RoundEngine:
                     "the scheduler assigned no data to any eligible user"
                 )
         with PROFILER.phase("dispatch"):
-            times = self._dispatch_round(round_idx, eligible)
+            times = self._dispatch(
+                round_idx, np.asarray(eligible, dtype=np.int64), comm=True
+            )
         active = eligible
         aggregators = active
         if self.dropout is not None:
@@ -618,12 +513,8 @@ class RoundEngine:
                     )
                 )
         else:
-            makespan = (
-                float(times[active].max()) if self._has_hardware else 0.0
-            )
-        mean_t = (
-            float(times[active].mean()) if self._has_hardware else 0.0
-        )
+            makespan = float(times[active].max())
+        mean_t = float(times[active].mean())
         self._idle_to_barrier(times, makespan)
 
         if train:
@@ -657,9 +548,10 @@ class RoundEngine:
 
         accuracy: Optional[float] = None
         if train and (server.round_idx % self.eval_every == 0):
-            accuracy = evaluate_accuracy(
-                server.model, self.dataset.x_test, self.dataset.y_test
-            )
+            with PROFILER.phase("eval"):
+                accuracy = evaluate_accuracy(
+                    server.model, self.dataset.x_test, self.dataset.y_test
+                )
         self.clock_s += makespan
         record = RoundRecord(
             round_idx=server.round_idx,
@@ -694,7 +586,7 @@ class RoundEngine:
     def epoch_time(self, j: int) -> float:
         """Virtual seconds for user j's next local epoch (device state
         persists: continuous training heats the device)."""
-        return self.client_compute_time(j, epochs=1)
+        return self.client_compute(j)[0]
 
     def _start_epoch(self, j: int) -> float:
         self._pulled_version[j] = self.version
@@ -710,7 +602,7 @@ class RoundEngine:
         )
         epoch_s, energy_j = self.client_compute(j, epochs=1)
         self._epoch_energy[j] = (
-            energy_j if self._has_hardware else None
+            energy_j if self.backend is not None else None
         )
         return epoch_s
 
@@ -825,44 +717,18 @@ class RoundEngine:
                 "the gossip driver needs a strategy with a mix() step"
             )
         round_idx = self.round_idx + 1
-        times = np.zeros(len(self.users))
-        for j, user in enumerate(self.users):
-            if user.size == 0:
-                continue
-            self.bus.emit(
-                ClientDispatched(
-                    round_idx=round_idx,
-                    client_id=j,
-                    n_samples=user.size,
-                    time_s=self.clock_s,
-                )
-            )
-            energy_j: Optional[float] = None
-            if self._has_hardware:
-                times[j], energy_j = self.client_compute(
-                    j, epochs=self.local_epochs
-                )
+        idx = np.flatnonzero(self._user_sizes > 0)
+        times = self._dispatch(round_idx, idx, comm=False)
+        for j in idx.tolist():
             result = self._train_client(
                 j, replicas[j], epochs=self.local_epochs
             )
             replicas[j] = result.weights
-            self.bus.emit(
-                ClientFinished(
-                    round_idx=round_idx,
-                    client_id=j,
-                    compute_s=float(times[j]),
-                    comm_s=0.0,
-                    total_s=float(times[j]),
-                    time_s=self.clock_s + times[j],
-                    energy_j=energy_j,
-                    battery_soc=self.battery_soc(j),
-                )
-            )
         # Gossip: every replica mixes with its neighbours.
         self.replicas = mixer.mix(replicas)
         self.round_idx += 1
-        trained = [j for j, u in enumerate(self.users) if u.size > 0]
-        makespan = float(times.max()) if self._has_hardware else 0.0
+        trained: List[int] = idx.tolist()
+        makespan = float(times.max())
         self.clock_s += makespan
         self.bus.emit(
             ModelAggregated(

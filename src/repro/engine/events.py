@@ -40,6 +40,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Any, Callable, ClassVar, Dict, List, Optional, Tuple, cast
 
+import numpy as np
+
 __all__ = [
     "EngineEvent",
     "ClientDispatched",
@@ -256,6 +258,52 @@ class EventBus:
     def emit(self, event: EngineEvent) -> None:
         for listener in (*self._listeners, *EventBus._global_listeners):
             listener(event)
+
+    def emit_clients(
+        self,
+        round_idx: int,
+        client_ids: np.ndarray,
+        n_samples: np.ndarray,
+        start_s: float,
+        compute_s: np.ndarray,
+        comm_s: np.ndarray,
+        energy_j: Optional[np.ndarray] = None,
+        battery_soc: Optional[np.ndarray] = None,
+    ) -> None:
+        """Narrate one dispatch wave: per client, in ``client_ids``
+        order, a :class:`ClientDispatched` at ``start_s`` then its
+        :class:`ClientFinished` after ``compute_s + comm_s``.
+        ``energy_j``/``battery_soc`` are ``None`` without device
+        simulators."""
+        total_s = compute_s + comm_s
+        for i, j in enumerate(client_ids.tolist()):
+            self.emit(
+                ClientDispatched(
+                    round_idx=round_idx,
+                    client_id=j,
+                    n_samples=int(n_samples[i]),
+                    time_s=start_s,
+                )
+            )
+            total = float(total_s[i])
+            self.emit(
+                ClientFinished(
+                    round_idx=round_idx,
+                    client_id=j,
+                    compute_s=float(compute_s[i]),
+                    comm_s=float(comm_s[i]),
+                    total_s=total,
+                    time_s=start_s + total,
+                    energy_j=(
+                        None if energy_j is None else float(energy_j[i])
+                    ),
+                    battery_soc=(
+                        None
+                        if battery_soc is None
+                        else float(battery_soc[i])
+                    ),
+                )
+            )
 
     # -- process-wide listeners -----------------------------------------
     @classmethod

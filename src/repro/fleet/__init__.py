@@ -4,8 +4,8 @@ The package has three layers:
 
 * :mod:`repro.fleet.store` — the :class:`FleetStore` single source of
   truth (NumPy column per attribute, per-class constants broadcast via
-  ``class_id``) plus object views that keep the legacy per-client
-  interfaces working, bit-identically;
+  ``class_id``), natively the engine's
+  :class:`~repro.engine.backend.ComputeBackend`;
 * :mod:`repro.fleet.sampling` — seeded per-round cohort samplers
   (uniform and data-size-biased Gumbel-top-k);
 * :mod:`repro.fleet.runner` / :mod:`repro.fleet.bench` — the
@@ -35,10 +35,7 @@ from .sampling import (
 from .store import (
     DEFAULT_CLASS_LINKS,
     DeviceClass,
-    FleetDevice,
-    FleetLink,
     FleetStore,
-    FleetTrace,
     default_device_classes,
     device_class_from_name,
     synthetic_fleet,
@@ -52,12 +49,9 @@ __all__ = [
     "DataSizeBiasedSampler",
     "DeviceClass",
     "FleetBenchRow",
-    "FleetDevice",
-    "FleetLink",
     "FleetRoundRecord",
     "FleetRunner",
     "FleetStore",
-    "FleetTrace",
     "ParetoSampler",
     "UniformSampler",
     "available_samplers",

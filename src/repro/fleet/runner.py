@@ -24,8 +24,6 @@ from typing import List, Optional, Union
 import numpy as np
 
 from ..engine.events import (
-    ClientDispatched,
-    ClientFinished,
     CohortAccounted,
     EventBus,
     RoundCompleted,
@@ -208,7 +206,6 @@ class FleetRunner:
                 samples=samples[active],
                 compute_s=compute_s,
                 comm_s=comm_s,
-                total_s=total_s,
                 energy_j=energy_j,
                 soc=soc,
                 assignment_counts=counts,
@@ -262,7 +259,6 @@ class FleetRunner:
         samples: np.ndarray,
         compute_s: np.ndarray,
         comm_s: np.ndarray,
-        total_s: np.ndarray,
         energy_j: np.ndarray,
         soc: np.ndarray,
         assignment_counts: np.ndarray,
@@ -288,27 +284,16 @@ class FleetRunner:
                     solve_ms=solve_ms,
                 )
             )
-            for i, j in enumerate(idx.tolist()):
-                self.bus.emit(
-                    ClientDispatched(
-                        round_idx=round_idx,
-                        client_id=j,
-                        n_samples=int(samples[i]),
-                        time_s=self.clock_s,
-                    )
-                )
-                self.bus.emit(
-                    ClientFinished(
-                        round_idx=round_idx,
-                        client_id=j,
-                        compute_s=float(compute_s[i]),
-                        comm_s=float(comm_s[i]),
-                        total_s=float(total_s[i]),
-                        time_s=self.clock_s + float(total_s[i]),
-                        energy_j=float(energy_j[i]),
-                        battery_soc=float(soc[i]),
-                    )
-                )
+            self.bus.emit_clients(
+                round_idx,
+                idx,
+                samples,
+                self.clock_s,
+                compute_s,
+                comm_s,
+                energy_j=energy_j,
+                battery_soc=soc,
+            )
         else:
             self.bus.emit(
                 CohortAccounted(

@@ -5,8 +5,7 @@ The object-per-client substrate (:class:`~repro.device.device
 around a few hundred simulated devices — every round walks Python
 objects. The ROADMAP north-star is a population of *millions*, and at
 that scale the population itself must be columnar: one NumPy array per
-attribute, vectorized operations over index arrays, and per-client
-objects only as thin views.
+attribute and vectorized operations over index arrays.
 
 :class:`FleetStore` is that single source of truth. Devices belong to
 a small number of :class:`DeviceClass` es (the paper's four phones by
@@ -19,34 +18,22 @@ column each.
 
 The device model is deliberately the *affine* regime of the simulator
 (``t = a + b·samples``, the same form :func:`repro.profiling.profiler
-.bootstrap_curve` fits): scalar and vectorized evaluations perform the
-identical IEEE-754 float64 operations in the identical order, so the
-object views returned by :meth:`FleetStore.as_devices` and the
-vectorized engine path produce **bit-identical** event streams — the
-refactor changes the population representation, not behaviour.
+.bootstrap_curve` fits). The store is natively a
+:class:`~repro.engine.backend.ComputeBackend`: ``eligible_mask``,
+``run_compute``, ``comm_time_s``, ``idle`` and ``soc`` are the engine's
+device seam, so ``RoundEngine(fleet=store)`` needs no adapter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (
-    Callable,
-    Dict,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 __all__ = [
     "DeviceClass",
     "FleetStore",
-    "FleetDevice",
-    "FleetLink",
-    "FleetTrace",
     "DEFAULT_CLASS_LINKS",
     "device_class_from_name",
     "default_device_classes",
@@ -110,15 +97,6 @@ class DeviceClass:
             self.downlink_mbps,
             self.rtt_s,
         )
-
-
-@dataclass(frozen=True)
-class FleetTrace:
-    """Result of one fleet workload run (mirrors ``TrainingTrace``'s
-    fields the engine reads)."""
-
-    total_time_s: float
-    energy_j: float
 
 
 class FleetStore:
@@ -238,10 +216,6 @@ class FleetStore:
             return self.battery_j / self.capacity_j
         return self.battery_j[idx] / self.capacity_j[idx]
 
-    def soc_one(self, j: int) -> float:
-        """Scalar state of charge of device ``j``."""
-        return float(self.battery_j[j] / self.capacity_j[j])
-
     def eligible_mask(self, min_soc: float = 0.0) -> np.ndarray:
         """Alive devices whose charge clears the participation floor.
 
@@ -253,15 +227,6 @@ class FleetStore:
         return self.alive & (self.soc() >= min_soc)
 
     # -- compute ----------------------------------------------------------
-    def compute_time_s(
-        self, idx: np.ndarray, samples: np.ndarray, epochs: int = 1
-    ) -> np.ndarray:
-        """Seconds for each device in ``idx`` to train ``samples``
-        samples for ``epochs`` epochs (pure, no state change)."""
-        cid = self.class_id[idx]
-        x = np.asarray(samples, dtype=np.float64) * np.float64(epochs)
-        return self._time_base_s[cid] + self._time_per_sample_s[cid] * x
-
     def run_compute(
         self, idx: np.ndarray, samples: np.ndarray, epochs: int = 1
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -279,20 +244,6 @@ class FleetStore:
         drained = np.minimum(e, self.battery_j[idx])
         self.battery_j[idx] -= drained
         return t, drained
-
-    def run_compute_one(
-        self, j: int, samples: int, epochs: int = 1
-    ) -> Tuple[float, float]:
-        """Scalar :meth:`run_compute` for one device — the object-view
-        path. Performs the same float64 operations as the vectorized
-        path so both produce bit-identical results."""
-        c = int(self.class_id[j])
-        x = np.float64(samples) * np.float64(epochs)
-        t = self._time_base_s[c] + self._time_per_sample_s[c] * x
-        e = self._energy_base_j[c] + self._energy_per_sample_j[c] * x
-        drained = np.minimum(e, self.battery_j[j])
-        self.battery_j[j] -= drained
-        return float(t), float(drained)
 
     # -- communication ----------------------------------------------------
     def download_time_s(
@@ -321,25 +272,6 @@ class FleetStore:
             idx, wire_mb
         )
 
-    def download_time_one(self, j: int, wire_mb: float) -> float:
-        c = int(self.class_id[j])
-        return float(
-            self._rtt_s[c] / 2.0
-            + np.float64(wire_mb) * 8.0 / self._downlink_mbps[c]
-        )
-
-    def upload_time_one(self, j: int, wire_mb: float) -> float:
-        c = int(self.class_id[j])
-        return float(
-            self._rtt_s[c] / 2.0
-            + np.float64(wire_mb) * 8.0 / self._uplink_mbps[c]
-        )
-
-    def comm_time_one(self, j: int, wire_mb: float) -> float:
-        return self.download_time_one(j, wire_mb) + self.upload_time_one(
-            j, wire_mb
-        )
-
     # -- idle -------------------------------------------------------------
     def idle(self, idx: np.ndarray, seconds: np.ndarray) -> None:
         """Drain idle power for ``seconds`` per device in ``idx``."""
@@ -349,98 +281,6 @@ class FleetStore:
         )
         drained = np.minimum(need, self.battery_j[idx])
         self.battery_j[idx] -= drained
-
-    def idle_one(self, j: int, seconds: float) -> None:
-        """Scalar :meth:`idle` (object-view path, identical math)."""
-        c = int(self.class_id[j])
-        need = self._idle_power_w[c] * np.float64(seconds)
-        drained = np.minimum(need, self.battery_j[j])
-        self.battery_j[j] -= drained
-
-    # -- object views -----------------------------------------------------
-    def as_devices(self) -> List["FleetDevice"]:
-        """Per-device views duck-typing the ``MobileDevice`` surface the
-        engine touches (``run_workload`` / ``idle`` / ``battery.soc``).
-        Views share this store's state — copy the store first to run
-        two engines independently."""
-        return [FleetDevice(self, j) for j in range(self.n)]
-
-    def as_links(self) -> List["FleetLink"]:
-        """Per-device views duck-typing :class:`~repro.network.link
-        .Link` for :func:`~repro.network.transfer.round_comm_cost`."""
-        return [FleetLink(self, j) for j in range(self.n)]
-
-
-class _FleetBattery:
-    """``device.battery``-shaped view over one store row."""
-
-    __slots__ = ("_store", "_index")
-
-    def __init__(self, store: FleetStore, index: int) -> None:
-        self._store = store
-        self._index = index
-
-    @property
-    def soc(self) -> float:
-        return self._store.soc_one(self._index)
-
-
-class FleetDevice:
-    """One device of a :class:`FleetStore`, viewed as an object.
-
-    Implements exactly the surface the :class:`~repro.engine.engine
-    .RoundEngine` uses from a :class:`~repro.device.device
-    .MobileDevice`; every operation delegates to the store's scalar
-    ops, so running a fleet through these views or through the
-    vectorized path yields bit-identical state and events.
-    """
-
-    __slots__ = ("_store", "_index", "battery")
-
-    def __init__(self, store: FleetStore, index: int) -> None:
-        self._store = store
-        self._index = index
-        self.battery = _FleetBattery(store, index)
-
-    @property
-    def index(self) -> int:
-        return self._index
-
-    @property
-    def spec(self) -> DeviceClass:
-        return self._store.classes[int(self._store.class_id[self._index])]
-
-    def run_workload(
-        self, workload: object, record: bool = False
-    ) -> FleetTrace:
-        n_samples = int(getattr(workload, "n_samples"))
-        epochs = int(getattr(workload, "epochs", 1))
-        t, e = self._store.run_compute_one(
-            self._index, n_samples, epochs
-        )
-        return FleetTrace(total_time_s=t, energy_j=e)
-
-    def idle(self, seconds: float) -> None:
-        self._store.idle_one(self._index, seconds)
-
-
-class FleetLink:
-    """One device's link, viewed as a jitter-free ``Link``."""
-
-    __slots__ = ("_store", "_index")
-
-    def __init__(self, store: FleetStore, index: int) -> None:
-        self._store = store
-        self._index = index
-
-    def download_time_s(self, size_mb: float) -> float:
-        return self._store.download_time_one(self._index, size_mb)
-
-    def upload_time_s(self, size_mb: float) -> float:
-        return self._store.upload_time_one(self._index, size_mb)
-
-    def round_trip_time_s(self, size_mb: float) -> float:
-        return self._store.comm_time_one(self._index, size_mb)
 
 
 # -- builders -------------------------------------------------------------

@@ -17,7 +17,7 @@ capacity-feasible allocations untouched.
 
 from __future__ import annotations
 
-from typing import Callable, List
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -48,12 +48,15 @@ def repair_to_capacities(
     counts: np.ndarray,
     capacities: np.ndarray,
     time_cost: np.ndarray,
+    rows: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Move shards off over-cap users onto the cheapest slack users.
 
     No-op when the allocation already fits. Receivers are chosen by the
     smallest time cost of their *next* shard (lowest index on ties), so
     the repair is deterministic and biased toward fast devices.
+    ``rows`` maps users to ``time_cost`` rows (one row per user when
+    omitted; see :meth:`SchedulingProblem.user_rows`).
     """
     counts = np.asarray(counts, dtype=np.int64).copy()
     caps = np.asarray(capacities, dtype=np.int64)
@@ -61,6 +64,8 @@ def repair_to_capacities(
     if overflow == 0:
         return counts
     counts = np.minimum(counts, caps)
+    if rows is None:
+        rows = np.arange(counts.size)
     while overflow > 0:
         slack = np.flatnonzero(counts < caps)
         if slack.size == 0:
@@ -68,7 +73,7 @@ def repair_to_capacities(
                 "infeasible: total capacity below the allocation"
             )
         marginal = np.array(
-            [float(time_cost[j, counts[j]]) for j in slack]
+            [float(time_cost[rows[j], counts[j]]) for j in slack]
         )
         j = int(slack[int(np.argmin(marginal))])
         counts[j] += 1
@@ -86,11 +91,12 @@ def _curves_from_matrix(
     the matrix on this path, so callers must not add them again.
     """
     cost = problem.time_cost
+    rows = problem.user_rows()
     d = problem.shard_size
     s = problem.n_slots
 
     def make(j: int) -> Callable[[float], float]:
-        row = cost[j]
+        row = cost[rows[j]]
 
         def curve(n_samples: float) -> float:
             k = int(round(n_samples / d))
@@ -109,7 +115,7 @@ class FedLBAPScheduler(Scheduler):
 
     def schedule(self, problem: SchedulingProblem) -> Assignment:
         schedule, bottleneck = fed_lbap(
-            problem.time_cost,
+            problem.dense_time_cost(),
             problem.total_shards,
             problem.shard_size,
             capacities=problem.capacities,
@@ -186,11 +192,12 @@ class FedMinAvgFastScheduler(Scheduler):
             )
             comm = problem.comm_costs
         else:
-            t1 = problem.time_cost[:, 0]
+            rows = problem.user_rows()
+            t1 = problem.time_cost[rows, 0]
             t2 = (
-                problem.time_cost[:, -1]
+                problem.time_cost[rows, -1]
                 if problem.n_slots > 1
-                else 2.0 * problem.time_cost[:, 0]
+                else 2.0 * t1
             )
             comm = None  # folded into the matrix
         slopes = np.maximum((t2 - t1) / ((span - 1) * d), 0.0)
@@ -224,6 +231,7 @@ class EqualScheduler(Scheduler):
             schedule.shard_counts,
             problem.effective_capacities(),
             problem.time_cost,
+            problem.user_rows(),
         )
         schedule = Schedule(
             counts, problem.shard_size, algorithm="equal"
@@ -254,6 +262,7 @@ class RandomScheduler(Scheduler):
             schedule.shard_counts,
             problem.effective_capacities(),
             problem.time_cost,
+            problem.user_rows(),
         )
         schedule = Schedule(
             counts, problem.shard_size, algorithm="random"
@@ -274,7 +283,9 @@ class ProportionalScheduler(Scheduler):
         if problem.weights is not None:
             weights = np.asarray(problem.weights, dtype=np.float64)
         else:
-            first = np.maximum(problem.time_cost[:, 0], 1e-12)
+            first = np.maximum(
+                problem.time_cost[problem.user_rows(), 0], 1e-12
+            )
             weights = 1.0 / first
         schedule = proportional_schedule(
             (),
@@ -286,6 +297,7 @@ class ProportionalScheduler(Scheduler):
             schedule.shard_counts,
             problem.effective_capacities(),
             problem.time_cost,
+            problem.user_rows(),
         )
         schedule = Schedule(
             counts, problem.shard_size, algorithm="proportional"

@@ -7,8 +7,9 @@ but historically lived as loose functions with incompatible signatures.
 This module gives them one shape:
 
 * :class:`SchedulingProblem` — the full instance a scheduler may
-  consult: per-user time/energy cost matrices (``C[j, k]`` = cost of
-  ``k+1`` shards), the shard budget, capacities, non-IID class sets,
+  consult: time/energy cost matrices (``C[j, k]`` = cost of ``k+1``
+  shards; one row per user, or per device class with ``class_id``
+  mapping users to rows), the shard budget, capacities, non-IID class sets,
   P2 weights and an RNG. Every field a given algorithm does not use is
   simply ignored by it.
 * :class:`Assignment` — a :class:`~repro.core.schedule.Schedule` plus
@@ -40,11 +41,12 @@ class SchedulingProblem:
     Attributes
     ----------
     time_cost:
-        ``(n_users, s)`` matrix; ``time_cost[j, k]`` is the seconds user
-        ``j`` needs for ``k+1`` shards this round (compute plus one
-        model push/pull). Rows non-decreasing (Property 1).
+        ``(n_rows, s)`` matrix; ``time_cost[r, k]`` is the seconds a
+        user of row ``r`` needs for ``k+1`` shards this round (compute
+        plus one model push/pull). Rows non-decreasing (Property 1).
+        Without ``class_id`` there is one row per user.
     energy_cost:
-        Optional ``(n_users, s)`` matrix of Joules, same convention.
+        Optional ``(n_rows, s)`` matrix of Joules, same convention.
         Required by energy-aware schedulers (MinEnergy).
     total_shards:
         The D of Eq. (3): shards to allocate in full.
@@ -74,6 +76,13 @@ class SchedulingProblem:
     rng:
         Generator or integer seed consumed by randomised schedulers;
         an explicit value makes runs reproducible end to end.
+    class_id:
+        Optional ``(n_users,)`` row index into the cost matrices: user
+        ``j``'s costs are row ``class_id[j]``. Fleet cohorts share a
+        handful of device classes, so their matrices hold one row per
+        class and stay ``n_classes x s`` however large the cohort is.
+        Read per-user values through :meth:`user_rows` or the
+        ``dense_*`` accessors, never by indexing rows with ``j``.
     """
 
     time_cost: np.ndarray
@@ -91,20 +100,29 @@ class SchedulingProblem:
     makespan_cap_s: Optional[float] = None
     rng: Union[np.random.Generator, int, None] = None
     meta: Dict[str, object] = field(default_factory=dict)
+    class_id: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
         # private copy: schedulers share one problem instance, so the
         # matrices are frozen after validation — an adapter mutating
         # its input would silently skew every scheduler run after it
         self.time_cost = np.array(self.time_cost, dtype=np.float64)
+        if self.class_id is not None:
+            self.class_id = np.array(self.class_id, dtype=np.int64)
         self.validate()
         self.time_cost.flags.writeable = False
         if self.energy_cost is not None:
             self.energy_cost.flags.writeable = False
+        if self.class_id is not None:
+            self.class_id.flags.writeable = False
+        # per-user expansions of class rows, built on first request
+        self._dense: Dict[str, np.ndarray] = {}
 
     # -- shape helpers ----------------------------------------------------
     @property
     def n_users(self) -> int:
+        if self.class_id is not None:
+            return int(self.class_id.shape[0])
         return int(self.time_cost.shape[0])
 
     @property
@@ -120,6 +138,36 @@ class SchedulingProblem:
                 caps, np.asarray(self.capacities, dtype=np.int64)
             )
         return caps
+
+    def user_rows(self) -> np.ndarray:
+        """Cost-matrix row of every user (``arange`` without classes)."""
+        if self.class_id is None:
+            return np.arange(self.n_users)
+        return self.class_id
+
+    def dense_time_cost(self) -> np.ndarray:
+        """The ``(n_users, s)`` time matrix, one row per user.
+
+        With ``class_id`` the expansion is built on first request and
+        kept, so only schedulers that need it pay its memory.
+        """
+        return self._per_user("time", self.time_cost)
+
+    def dense_energy_cost(self) -> Optional[np.ndarray]:
+        """The ``(n_users, s)`` energy matrix (None if absent)."""
+        if self.energy_cost is None:
+            return None
+        return self._per_user("energy", self.energy_cost)
+
+    def _per_user(self, key: str, matrix: np.ndarray) -> np.ndarray:
+        if self.class_id is None:
+            return matrix
+        dense = self._dense.get(key)
+        if dense is None:
+            dense = matrix[self.class_id]
+            dense.flags.writeable = False
+            self._dense[key] = dense
+        return dense
 
     def classes_or_default(self) -> Sequence[Tuple[int, ...]]:
         """Class sets, defaulting to full coverage for every user."""
@@ -141,6 +189,8 @@ class SchedulingProblem:
         """Reject malformed instances with actionable messages."""
         if self.time_cost.ndim != 2:
             raise ValueError("time_cost must be a 2-D (users x shards) matrix")
+        if self.class_id is not None and self.class_id.ndim != 1:
+            raise ValueError("class_id must be a 1-D array")
         if self.n_users == 0:
             raise ValueError("need at least one user (empty user list)")
         if self.n_slots == 0:
@@ -149,6 +199,12 @@ class SchedulingProblem:
             raise ValueError("total_shards must be positive")
         if self.shard_size <= 0:
             raise ValueError("shard_size must be positive")
+        if self.class_id is not None:
+            rows = self.time_cost.shape[0]
+            if self.class_id.min() < 0 or self.class_id.max() >= rows:
+                raise ValueError(
+                    f"class_id entries must index the {rows} cost rows"
+                )
         if not np.isfinite(self.time_cost).all():
             raise ValueError("time_cost contains NaN/inf entries")
         if (self.time_cost < 0).any():
@@ -184,9 +240,8 @@ class SchedulingProblem:
         active = np.flatnonzero(counts > 0)
         if active.size == 0:
             return 0.0
-        return float(
-            max(self.time_cost[j, counts[j] - 1] for j in active)
-        )
+        rows = self.user_rows()[active]
+        return float(self.time_cost[rows, counts[active] - 1].max())
 
     def predicted_energy(
         self, shard_counts: np.ndarray
@@ -195,12 +250,11 @@ class SchedulingProblem:
         if self.energy_cost is None:
             return None
         counts = np.asarray(shard_counts, dtype=np.int64)
-        return float(
-            sum(
-                self.energy_cost[j, counts[j] - 1]
-                for j in np.flatnonzero(counts > 0)
-            )
-        )
+        active = np.flatnonzero(counts > 0)
+        rows = self.user_rows()[active]
+        # builtin sum: left-to-right in user order, not numpy's
+        # pairwise reduction, so totals match per-user accumulation
+        return float(sum(self.energy_cost[rows, counts[active] - 1]))
 
 
 @dataclass

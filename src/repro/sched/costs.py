@@ -279,8 +279,8 @@ def fleet_class_matrices(
     n_shards)`` — column ``k`` is the cost of ``k+1`` shards — built in
     one broadcast from the classes' affine coefficients and made
     non-decreasing (Property 1). Cached on the fleet's class signature
-    and the shard grid: per-round cohort matrices are then a single
-    fancy-index over these rows, so cost-matrix generation is O(cohort)
+    and the shard grid: a per-round cohort problem then reuses these
+    rows through its members' class ids, so building it is O(cohort)
     per round instead of O(cohort x shards) curve calls.
     """
     if n_shards <= 0 or shard_size <= 0:
@@ -339,10 +339,12 @@ def fleet_problem(
     """Build a scheduling instance over a fleet cohort in one pass.
 
     ``cohort`` is an index array into the fleet (the whole fleet when
-    omitted). The shard budget defaults to the data the cohort holds;
-    the cost matrices are assembled by fancy-indexing the cached
-    per-class columns of :func:`fleet_class_matrices`, so generation is
-    vectorized end to end — ``meta["build_ms"]`` records the measured
+    omitted). The shard budget defaults to the data the cohort holds.
+    The instance carries the cached per-class matrices of
+    :func:`fleet_class_matrices` plus each member's ``class_id``, so
+    its size is ``n_classes x shards`` whatever the cohort size;
+    schedulers that need a per-user matrix expand it themselves
+    (``dense_time_cost``). ``meta["build_ms"]`` records the measured
     host cost. Proportional weights fall out of the class slopes
     (samples/second), and raw affine curves ride along for curve-based
     schedulers.
@@ -368,8 +370,6 @@ def fleet_problem(
             fleet, total_shards, shard_size
         )
         cid = fleet.class_id[idx]
-        time_cost = time_cols[cid]
-        energy_cost = energy_cols[cid] if with_energy else None
     build_ms = (time.perf_counter() - t0) * 1e3
     slopes = np.array(
         [c.time_per_sample_s for c in fleet.classes], dtype=np.float64
@@ -383,10 +383,10 @@ def fleet_problem(
         for c in cid.tolist()
     ]
     return SchedulingProblem(
-        time_cost=time_cost,
+        time_cost=time_cols,
         total_shards=int(total_shards),
         shard_size=shard_size,
-        energy_cost=energy_cost,
+        energy_cost=energy_cols if with_energy else None,
         alpha=alpha,
         beta=beta,
         time_curves=curves,
@@ -399,4 +399,5 @@ def fleet_problem(
             "build_ms": build_ms,
             "classes": tuple(c.name for c in fleet.classes),
         },
+        class_id=cid,
     )

@@ -113,7 +113,8 @@ class MinEnergyScheduler(Scheduler):
         self.makespan_cap_s = makespan_cap_s
 
     def schedule(self, problem: SchedulingProblem) -> Assignment:
-        if problem.energy_cost is None:
+        energy = problem.dense_energy_cost()
+        if energy is None:
             raise ValueError(
                 "min_energy needs problem.energy_cost (build the "
                 "instance with an energy matrix, e.g. "
@@ -125,10 +126,10 @@ class MinEnergyScheduler(Scheduler):
             else problem.makespan_cap_s
         )
         counts = min_energy_assign(
-            problem.energy_cost,
+            energy,
             problem.total_shards,
             problem.effective_capacities(),
-            time_cost=problem.time_cost,
+            time_cost=problem.dense_time_cost(),
             makespan_cap_s=cap,
         )
         schedule = Schedule(

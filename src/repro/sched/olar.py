@@ -74,7 +74,7 @@ class OLARScheduler(Scheduler):
     def schedule(self, problem: SchedulingProblem) -> Assignment:
         caps = problem.effective_capacities()
         counts = olar_assign(
-            problem.time_cost, problem.total_shards, caps
+            problem.dense_time_cost(), problem.total_shards, caps
         )
         schedule = Schedule(
             shard_counts=counts,

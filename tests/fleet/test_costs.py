@@ -74,7 +74,10 @@ class TestFleetProblem:
                           total_shards=12)
         time_cols, _ = fleet_class_matrices(fleet, 12, 200)
         expected = time_cols[fleet.class_id[cohort]]
-        assert np.array_equal(p.time_cost, expected)
+        assert np.array_equal(p.dense_time_cost(), expected)
+        # the instance stores one row per class, not per member
+        assert np.array_equal(p.time_cost, time_cols)
+        assert np.array_equal(p.class_id, fleet.class_id[cohort])
         assert p.n_users == 3
 
     def test_weights_follow_class_speed(self, fleet):
@@ -118,3 +121,43 @@ class TestFleetProblem:
         p = fleet_problem(fleet, shard_size=100)
         a = get_scheduler("proportional").schedule(p)
         assert int(np.sum(a.shard_counts)) == p.total_shards
+
+
+@pytest.mark.parametrize("restricted", [False, True])
+def test_class_rows_schedule_like_dense_rows(fleet, restricted):
+    """Every registered scheduler gives the same assignment on the
+    class-row instance as on its expanded per-user twin (exact ``==``);
+    the restricted case zeroes some capacities so the baselines'
+    capacity repair reads costs through the class rows too."""
+    from dataclasses import replace
+
+    from repro.sched import available_schedulers, get_scheduler
+    from repro.sched.binding import restrict_problem
+
+    p = fleet_problem(fleet, shard_size=100, total_shards=40)
+    if restricted:
+        p = restrict_problem(p, list(range(0, fleet.n, 2)))
+    dense = replace(
+        p,
+        time_cost=p.dense_time_cost(),
+        energy_cost=p.dense_energy_cost(),
+        class_id=None,
+    )
+    assert p.time_cost.shape[0] == len(fleet.classes)
+    assert dense.n_users == p.n_users == fleet.n
+    for name in available_schedulers():
+        a = get_scheduler(name).schedule(p)
+        b = get_scheduler(name).schedule(dense)
+        assert np.array_equal(a.shard_counts, b.shard_counts), name
+        assert a.predicted_makespan_s == b.predicted_makespan_s, name
+        assert a.predicted_energy_j == b.predicted_energy_j, name
+
+
+def test_fleet_scale_instance_stays_class_sized():
+    """A 10^4-member cohort over two classes stores two cost rows."""
+    big = toy_fleet(10_000)
+    p = fleet_problem(big, shard_size=100)
+    assert p.n_users == 10_000
+    assert p.time_cost.shape == (2, p.total_shards)
+    assert p.energy_cost is not None
+    assert p.energy_cost.shape == (2, p.total_shards)

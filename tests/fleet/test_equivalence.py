@@ -3,9 +3,10 @@ path are *bit-identical* — same event streams, same schedules, same
 round records, same energy-ledger totals — at small n.
 
 Both engines run over the same :class:`FleetStore` population, one via
-``as_devices()``/``as_links()`` object views, one via ``fleet=``; the
-store's scalar and vector ops perform the same float64 arithmetic, so
-every comparison below is exact equality, never approx.
+the object views of ``conftest.py`` (driven through the engine's
+``DeviceBackend``), one via ``fleet=``; the views call the store's own
+vector ops on one-element index arrays, so every comparison below is
+exact equality, never approx.
 """
 
 import numpy as np
@@ -24,7 +25,7 @@ from repro.obs import ObsRecorder
 from repro.sched.binding import EngineSchedulerBinding
 from repro.sched.costs import fleet_problem
 
-from .conftest import toy_fleet
+from .conftest import fleet_devices, fleet_links, toy_fleet
 
 MAX_N = 50
 
@@ -66,8 +67,8 @@ def make_pair(dataset, n, seed, config, cohort_size=None):
         dataset,
         logistic(input_shape=dataset.input_shape, seed=1),
         users,
-        devices=fa.as_devices(),
-        links=fa.as_links(),
+        devices=fleet_devices(fa),
+        links=fleet_links(fa),
         config=config,
         **kw_a,
     )

@@ -1,4 +1,4 @@
-"""FleetStore: columns, scalar/vector parity, views, builders."""
+"""FleetStore: columns, battery, compute/comm/idle ops, builders."""
 
 import numpy as np
 import pytest
@@ -6,10 +6,7 @@ import pytest
 from repro.fleet import (
     DEFAULT_CLASS_LINKS,
     DeviceClass,
-    FleetDevice,
-    FleetLink,
     FleetStore,
-    FleetTrace,
     default_device_classes,
     device_class_from_name,
     synthetic_fleet,
@@ -94,7 +91,7 @@ class TestFleetStoreColumns:
             np.array([100, 100], dtype=np.int64),
         )
         assert np.array_equal(store.battery_j, store.capacity_j)
-        assert store.soc_one(0) == 1.0
+        assert store.soc(np.array([0]))[0] == 1.0
 
     def test_columns_are_owned_copies(self, classes):
         cid = np.array([0, 1], dtype=np.int32)
@@ -112,11 +109,6 @@ class TestFleetStoreColumns:
 
 
 class TestBatteryAndEligibility:
-    def test_soc_vector_matches_scalar(self, fleet):
-        soc = fleet.soc()
-        for j in range(fleet.n):
-            assert soc[j] == fleet.soc_one(j)
-
     def test_soc_indexed_subset(self, fleet):
         idx = np.array([1, 5, 7])
         assert np.array_equal(fleet.soc(idx), fleet.soc()[idx])
@@ -147,11 +139,13 @@ class TestComputeAndComm:
             np.array([1000, 1000], dtype=np.int64),
         )
         idx = np.array([0, 1])
-        t = store.compute_time_s(idx, np.array([1000.0, 1000.0]))
+        t, _ = store.run_compute(idx, np.array([1000.0, 1000.0]))
         assert t[0] == pytest.approx(1.0 + 0.001 * 1000)
         assert t[1] == pytest.approx(2.0 + 0.004 * 1000)
         # epochs scale the samples
-        t2 = store.compute_time_s(idx, np.array([1000.0, 1000.0]), epochs=2)
+        t2, _ = store.run_compute(
+            idx, np.array([1000.0, 1000.0]), epochs=2
+        )
         assert t2[0] == pytest.approx(1.0 + 0.001 * 2000)
 
     def test_run_compute_drains_battery(self, classes):
@@ -177,19 +171,6 @@ class TestComputeAndComm:
         assert e[0] == pytest.approx(1.0)  # capped at what was left
         assert store.battery_j[0] == 0.0
 
-    def test_scalar_compute_is_bit_identical(self, fleet):
-        clone = fleet.copy()
-        idx = np.arange(fleet.n)
-        samples = fleet.data_size.astype(np.float64)
-        t_vec, e_vec = fleet.run_compute(idx, samples, epochs=2)
-        for j in range(clone.n):
-            t1, e1 = clone.run_compute_one(
-                j, int(samples[j]), epochs=2
-            )
-            assert t1 == t_vec[j]  # bit-identical, not approx
-            assert e1 == e_vec[j]
-        assert np.array_equal(fleet.battery_j, clone.battery_j)
-
     def test_comm_time_is_the_link_formula(self, classes):
         store = FleetStore(
             classes,
@@ -204,12 +185,6 @@ class TestComputeAndComm:
         assert up == pytest.approx(0.05 / 2 + mb * 8 / 10.0)
         assert store.comm_time_s(idx, mb)[0] == pytest.approx(down + up)
 
-    def test_scalar_comm_is_bit_identical(self, fleet):
-        idx = np.arange(fleet.n)
-        vec = fleet.comm_time_s(idx, 1.5)
-        for j in range(fleet.n):
-            assert fleet.comm_time_one(j, 1.5) == vec[j]
-
     def test_idle_drains_idle_power(self, classes):
         store = FleetStore(
             classes,
@@ -220,55 +195,6 @@ class TestComputeAndComm:
         store.idle(np.array([0, 1]), np.array([10.0, 10.0]))
         assert store.battery_j[0] == pytest.approx(before[0] - 0.5 * 10)
         assert store.battery_j[1] == pytest.approx(before[1] - 0.8 * 10)
-        clone = FleetStore(
-            classes,
-            np.array([0, 1], dtype=np.int32),
-            np.array([100, 100], dtype=np.int64),
-        )
-        clone.idle_one(0, 10.0)
-        clone.idle_one(1, 10.0)
-        assert np.array_equal(store.battery_j, clone.battery_j)
-
-
-class TestObjectViews:
-    def test_as_devices_returns_views_sharing_state(self, fleet):
-        devices = fleet.as_devices()
-        assert len(devices) == fleet.n
-        assert all(isinstance(d, FleetDevice) for d in devices)
-        assert devices[3].index == 3
-        assert devices[3].battery.soc == fleet.soc_one(3)
-        devices[3].idle(100.0)
-        assert fleet.soc_one(3) < 1.0 or fleet.battery_j[3] >= 0
-
-    def test_device_view_run_workload_matches_store(self, fleet):
-        class Workload:
-            n_samples = 600
-            epochs = 2
-
-        clone = fleet.copy()
-        trace = fleet.as_devices()[0].run_workload(Workload())
-        assert isinstance(trace, FleetTrace)
-        t, e = clone.run_compute_one(0, 600, epochs=2)
-        assert trace.total_time_s == t
-        assert trace.energy_j == e
-
-    def test_device_view_spec_is_its_class(self, fleet):
-        dev = fleet.as_devices()[0]
-        assert dev.spec is fleet.classes[int(fleet.class_id[0])]
-
-    def test_as_links_matches_store_comm(self, fleet):
-        links = fleet.as_links()
-        assert all(isinstance(x, FleetLink) for x in links)
-        j = 2
-        assert links[j].download_time_s(1.0) == fleet.download_time_one(
-            j, 1.0
-        )
-        assert links[j].upload_time_s(1.0) == fleet.upload_time_one(
-            j, 1.0
-        )
-        assert links[j].round_trip_time_s(1.0) == fleet.comm_time_one(
-            j, 1.0
-        )
 
 
 class TestBuilders:

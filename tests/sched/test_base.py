@@ -56,6 +56,36 @@ class TestValidation:
                 total_shards=1,
             )
 
+    def test_class_id_must_index_the_cost_rows(self):
+        with pytest.raises(ValueError, match="class_id"):
+            SchedulingProblem(
+                time_cost=mat([[1.0, 2.0]]),
+                total_shards=1,
+                class_id=np.array([0, 1]),
+            )
+        with pytest.raises(ValueError, match="class_id"):
+            SchedulingProblem(
+                time_cost=mat([[1.0, 2.0]]),
+                total_shards=1,
+                class_id=np.array([[0]]),
+            )
+
+    def test_class_rows_expand_per_user(self):
+        p = SchedulingProblem(
+            time_cost=mat([[1.0, 2.0], [3.0, 5.0]]),
+            energy_cost=mat([[0.5, 1.0], [2.0, 4.0]]),
+            total_shards=2,
+            class_id=np.array([1, 0, 1]),
+        )
+        assert p.n_users == 3
+        assert np.array_equal(
+            p.dense_time_cost(), mat([[3.0, 5.0], [1.0, 2.0], [3.0, 5.0]])
+        )
+        assert np.array_equal(p.dense_energy_cost()[1], mat([0.5, 1.0]))
+        counts = np.array([1, 1, 0])
+        assert p.predicted_makespan(counts) == 3.0
+        assert p.predicted_energy(counts) == 2.5
+
     def test_capacity_infeasibility(self):
         with pytest.raises(ValueError, match="infeasible"):
             SchedulingProblem(
