@@ -14,16 +14,7 @@ import numpy as np
 import pytest
 
 from _util import record, run_once
-from repro.core import (
-    brute_force_makespan,
-    equal_schedule,
-    evaluate_makespan,
-    fed_lbap,
-    fed_minavg,
-    random_schedule,
-    solve_lbap_threshold_exact,
-)
-from repro.core.accuracy_cost import AccuracyCostTracker
+from repro.core.accuracy_cost import AccuracyCostTracker, class_coverage
 from repro.device.device import MobileDevice
 from repro.device.registry import build_spec
 from repro.device.workload import TrainingWorkload
@@ -32,6 +23,10 @@ from repro.experiments.scenarios import scenario_classes
 from repro.experiments.testbeds import cached_time_curves, testbed_names
 from repro.models import MNIST_SHAPE, lenet, model_training_flops
 from repro.profiling import bootstrap_curve
+from repro.sched.baselines import equal_schedule, random_schedule
+from repro.sched.lbap import fed_lbap, solve_lbap_threshold_exact
+from repro.sched.minavg import fed_minavg, fed_minavg_affine
+from tests.oracles import brute_force_makespan
 from repro.device.registry import make_device
 
 
@@ -74,8 +69,8 @@ class TestLbapSolverAblation:
         in milliseconds — the O(ns log ns) claim in practice."""
         rng = np.random.default_rng(2)
         cost = monotone_cost(rng, 50, 600)
-        sched, _ = benchmark(fed_lbap, cost, 600)
-        assert sched.total_shards == 600
+        counts, _ = benchmark(fed_lbap, cost, 600)
+        assert counts.sum() == 600
 
 
 class TestProfilerAblation:
@@ -162,7 +157,7 @@ class TestSemanticsAblation:
         def run_all():
             out = {}
             for sem in ("disjoint", "strict", "coverage", "unique"):
-                sched = fed_minavg(
+                counts = fed_minavg(
                     curves,
                     classes,
                     total_shards=500,
@@ -173,8 +168,8 @@ class TestSemanticsAblation:
                     semantics=sem,
                 )
                 out[sem] = (
-                    int(sched.shard_counts[2]),
-                    float(sched.meta["coverage"]),
+                    int(counts[2]),
+                    class_coverage(counts, classes, 10),
                 )
             return out
 
@@ -218,17 +213,13 @@ class TestGreedyAblation:
             )
             rng = np.random.default_rng(0)
             rand_vals = [
-                objective(
-                    random_schedule(len(names), total, d, rng).shard_counts
-                )
+                objective(random_schedule(len(names), total, rng))
                 for _ in range(10)
             ]
             return {
-                "greedy": objective(greedy.shard_counts),
+                "greedy": objective(greedy),
                 "random_mean": float(np.mean(rand_vals)),
-                "equal": objective(
-                    equal_schedule(len(names), total, d).shard_counts
-                ),
+                "equal": objective(equal_schedule(len(names), total)),
             }
 
         vals = run_once(benchmark, run_all)
@@ -256,23 +247,21 @@ class TestMinavgScaling:
             tuple(int(c) for c in rng.choice(10, size=4, replace=False))
             for _ in range(10)
         ]
-        sched = benchmark(
+        counts = benchmark(
             fed_minavg, curves, classes, 600, 100, 10, 200.0, 2.0
         )
-        assert sched.total_shards == 600
+        assert counts.sum() == 600
 
     def test_minavg_affine_fast_path(self, benchmark):
         """The vectorised fast path on the same instance — compare the
         two benchmark rows for the speedup (typically 20-50x)."""
-        from repro.core.minavg_fast import fed_minavg_affine
-
         rng = np.random.default_rng(3)
         slopes = rng.uniform(0.005, 0.05, 10)
         classes = [
             tuple(int(c) for c in rng.choice(10, size=4, replace=False))
             for _ in range(10)
         ]
-        sched = benchmark(
+        counts = benchmark(
             fed_minavg_affine,
             np.zeros(10),
             slopes,
@@ -283,10 +272,8 @@ class TestMinavgScaling:
             200.0,
             2.0,
         )
-        assert sched.total_shards == 600
+        assert counts.sum() == 600
         # identical output to the reference on this instance
         curves = [lambda x, s=s: s * x for s in slopes]
         ref = fed_minavg(curves, classes, 600, 100, 10, 200.0, 2.0)
-        np.testing.assert_array_equal(
-            sched.shard_counts, ref.shard_counts
-        )
+        np.testing.assert_array_equal(counts, ref)

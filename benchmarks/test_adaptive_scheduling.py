@@ -18,11 +18,12 @@ offline schedule's makespan in a handful of rounds, from either start.
 import numpy as np
 
 from _util import record, run_once
-from repro.core import AdaptiveScheduler, build_cost_matrix, fed_lbap
+from repro.core import build_cost_matrix
 from repro.experiments.realized import realized_times
 from repro.experiments.runner import ExperimentResult
 from repro.experiments.testbeds import cached_time_curves, testbed_names
 from repro.models import lenet
+from repro.sched import AdaptiveScheduler, fed_lbap
 
 NAMES = testbed_names(2)
 MODEL = lenet()
@@ -36,9 +37,8 @@ def _drive(ada: AdaptiveScheduler) -> list:
     makespans = []
     for _ in range(ROUNDS):
         sched = ada.next_schedule()
-        times = realized_times(sched.samples_per_user(), NAMES, MODEL)
-        active = sched.samples_per_user() > 0
-        makespans.append(float(times[active].max()))
+        times = realized_times(sched * D, NAMES, MODEL)
+        makespans.append(float(times[sched > 0].max()))
         ada.observe_round(sched, times)
     return makespans
 
@@ -46,13 +46,11 @@ def _drive(ada: AdaptiveScheduler) -> list:
 def test_adaptive_scheduling_convergence(benchmark):
     def run_all():
         curves = cached_time_curves(NAMES, MODEL)
-        offline_sched, _ = fed_lbap(
-            build_cost_matrix(curves, SHARDS, D), SHARDS, D
+        offline_counts, _ = fed_lbap(
+            build_cost_matrix(curves, SHARDS, D), SHARDS
         )
         offline = float(
-            realized_times(
-                offline_sched.samples_per_user(), NAMES, MODEL
-            ).max()
+            realized_times(offline_counts * D, NAMES, MODEL).max()
         )
         cold = _drive(
             AdaptiveScheduler(

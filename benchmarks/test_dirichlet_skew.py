@@ -11,7 +11,6 @@ user class sets come from Dirichlet draws instead of n-class draws.
 import numpy as np
 
 from _util import record, run_once
-from repro.core.baselines import equal_schedule
 from repro.data import dirichlet_noniid_partition, load_preset
 from repro.experiments.flruns import FLRunConfig, train_partition
 from repro.experiments.minavg_runs import best_alpha_schedule
@@ -19,6 +18,7 @@ from repro.experiments.realized import realized_makespan
 from repro.experiments.runner import ExperimentResult
 from repro.experiments.testbeds import testbed_names
 from repro.models import lenet
+from repro.sched.baselines import equal_schedule
 
 
 def test_dirichlet_severity_curve(benchmark):
@@ -79,13 +79,9 @@ def test_minavg_under_dirichlet_classes(benchmark):
             2, classes, "mnist", "lenet",
             alphas=(100.0, 1000.0), beta=0.0, shard_size=d,
         )
-        t_minavg = realized_makespan(
-            sched.samples_per_user(), names, model
-        )
-        equal = equal_schedule(len(names), shards, d)
-        t_equal = realized_makespan(
-            equal.samples_per_user(), names, model
-        )
+        t_minavg = realized_makespan(sched * d, names, model)
+        equal = equal_schedule(len(names), shards)
+        t_equal = realized_makespan(equal * d, names, model)
         return t_minavg, t_equal, [len(c) for c in classes]
 
     t_minavg, t_equal, class_counts = run_once(benchmark, run_all)

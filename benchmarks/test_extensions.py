@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from _util import record, run_once
-from repro.core import build_cost_matrix, fed_lbap, fed_minavg
+from repro.core import build_cost_matrix
 from repro.data import iid_partition, load_preset
 from repro.device import (
     energy_capacity_shards,
@@ -36,6 +36,7 @@ from repro.federated import (
     make_topology,
 )
 from repro.models import build_model, lenet
+from repro.sched import fed_lbap, fed_minavg
 
 
 def test_dropout_vs_scheduling(benchmark):
@@ -67,10 +68,8 @@ def test_dropout_vs_scheduling(benchmark):
         wasted = equal_sizes[dropped].sum() / equal_sizes.sum()
         curves = cached_time_curves(names, model)
         cost = build_cost_matrix(curves, shards, d)
-        sched, _ = fed_lbap(cost, shards, d)
-        t_lbap = realized_times(
-            sched.samples_per_user(), names, model
-        ).max()
+        counts, _ = fed_lbap(cost, shards)
+        t_lbap = realized_times(counts * d, names, model).max()
         out["time"] = (t_dropout, t_lbap, float(wasted), len(dropped))
 
         # --- data: S(I): dropping the outlier loses class 7 entirely ---
@@ -90,7 +89,7 @@ def test_dropout_vs_scheduling(benchmark):
             beta=2.0,
         )
         acc_sched = accuracy_of_schedule(
-            "cifar10_mini", minavg.shard_counts, classes, fl
+            "cifar10_mini", minavg, classes, fl
         )
         out["accuracy"] = (acc_drop, acc_sched)
         return out
@@ -237,7 +236,7 @@ def test_energy_aware_scheduling(benchmark):
             alpha=0.0,
             capacities=caps,
         )
-        return caps, sched.shard_counts.tolist()
+        return caps, sched.tolist()
 
     caps, counts = run_once(benchmark, run_all)
     result = ExperimentResult(

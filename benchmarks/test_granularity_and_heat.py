@@ -20,11 +20,12 @@ import time
 import numpy as np
 
 from _util import record, run_once
-from repro.core import build_cost_matrix, equal_schedule, fed_lbap
+from repro.core import build_cost_matrix
 from repro.device import TrainingWorkload, make_device
 from repro.experiments.runner import ExperimentResult
 from repro.experiments.testbeds import cached_time_curves, testbed_names
 from repro.models import lenet, model_training_flops
+from repro.sched import AdaptiveScheduler, equal_schedule, fed_lbap
 
 
 def test_shard_granularity_tradeoff(benchmark):
@@ -39,7 +40,7 @@ def test_shard_granularity_tradeoff(benchmark):
             shards = total_samples // d
             t0 = time.perf_counter()
             cost = build_cost_matrix(curves, shards, d)
-            sched, bottleneck = fed_lbap(cost, shards, d)
+            _, bottleneck = fed_lbap(cost, shards)
             elapsed_ms = (time.perf_counter() - t0) * 1000
             out.append((d, shards, bottleneck, elapsed_ms))
         return out
@@ -106,8 +107,6 @@ def test_multiround_sustained_heat(benchmark):
         ]
 
     def run_adaptive(curves):
-        from repro.core import AdaptiveScheduler
-
         devices = [make_device(n, jitter=0.0) for n in names]
         ada = AdaptiveScheduler(
             initial_curves=curves,
@@ -119,22 +118,18 @@ def test_multiround_sustained_heat(benchmark):
         makespans = []
         for _ in range(n_rounds):
             sched = ada.next_schedule()
-            times, makespan = run_one_round(
-                devices, sched.samples_per_user()
-            )
+            times, makespan = run_one_round(devices, sched * d)
             makespans.append(makespan)
             ada.observe_round(sched, times)
         return makespans
 
     def run_all():
         curves = cached_time_curves(names, model)
-        sched, _ = fed_lbap(
-            build_cost_matrix(curves, shards, d), shards, d
-        )
-        equal = equal_schedule(len(names), shards, d)
+        counts, _ = fed_lbap(build_cost_matrix(curves, shards, d), shards)
+        equal = equal_schedule(len(names), shards)
         return {
-            "equal": run_rounds(equal.samples_per_user()),
-            "fed-lbap": run_rounds(sched.samples_per_user()),
+            "equal": run_rounds(equal * d),
+            "fed-lbap": run_rounds(counts * d),
             "adaptive": run_adaptive(curves),
         }
 

@@ -78,7 +78,7 @@ class TestMinEnergyBudget:
 
         assignment = benchmark(scheduler.schedule, problem)
         assert (
-            assignment.schedule.total_shards == problem.total_shards
+            assignment.shard_counts.sum() == problem.total_shards
         )
         t0 = time.perf_counter()
         scheduler.schedule(problem)

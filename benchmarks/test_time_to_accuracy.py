@@ -19,7 +19,7 @@ Also covers two smaller end-to-end extensions:
 import numpy as np
 
 from _util import record, run_once
-from repro.core import build_cost_matrix, comm_costs_for, fed_lbap
+from repro.core import build_cost_matrix, comm_costs_for
 from repro.data import load_preset, partition_from_sizes
 from repro.device import make_device
 from repro.experiments.flruns import scale_counts
@@ -29,6 +29,7 @@ from repro.experiments.testbeds import cached_time_curves, testbed_names
 from repro.federated import FederatedSimulation, SimulationConfig
 from repro.models import MNIST_SHAPE, build_model, lenet, vgg6
 from repro.network import make_link
+from repro.sched import fed_lbap
 
 
 def _time_to_accuracy(schedule_sizes, names, dataset, target, seed=0):
@@ -70,14 +71,14 @@ def test_time_to_accuracy(benchmark):
     def run_all():
         curves = cached_time_curves(names, model)
         cost = build_cost_matrix(curves, shards, d)
-        sched, _ = fed_lbap(cost, shards, d)
+        counts, _ = fed_lbap(cost, shards)
         # Replay allocation shapes on the mini dataset.
-        mini = scale_counts(sched.shard_counts, 40) * 50
+        mini = scale_counts(counts, 40) * 50
         equal = np.full(len(names), 40 // len(names) + 1)[: len(names)]
         equal = scale_counts(equal, 40) * 50
         # Virtual time per round is driven by the full-scale allocation;
         # scale round times by the realized makespans of each policy.
-        t_lbap = realized_makespan(sched.samples_per_user(), names, model)
+        t_lbap = realized_makespan(counts * d, names, model)
         t_equal = realized_makespan(
             np.full(len(names), shards // len(names)) * d, names, model
         )
@@ -120,20 +121,16 @@ def test_link_heterogeneity_shifts_allocation(benchmark):
 
     def run_all():
         curves = cached_time_curves(names, model)
-        uniform = fed_lbap(
-            build_cost_matrix(curves, shards, d), shards, d
-        )[0]
+        uniform = fed_lbap(build_cost_matrix(curves, shards, d), shards)[0]
         # pixel2 (index 2) drops to LTE; others stay on WiFi
         links = [make_link("wifi"), make_link("wifi"), make_link("lte")]
         comm = comm_costs_for(model, links)
         het = fed_lbap(
-            build_cost_matrix(curves, shards, d, comm_costs=comm),
-            shards,
-            d,
+            build_cost_matrix(curves, shards, d, comm_costs=comm), shards
         )[0]
         return (
-            uniform.shard_counts.tolist(),
-            het.shard_counts.tolist(),
+            uniform.tolist(),
+            het.tolist(),
             comm.tolist(),
         )
 
@@ -192,12 +189,10 @@ def test_governor_robustness(benchmark):
                 )
                 for n in names
             ]
-            sched = fed_lbap(
-                build_cost_matrix(curves, shards, d), shards, d
-            )[0]
+            counts = fed_lbap(build_cost_matrix(curves, shards, d), shards)[0]
             out[gov] = (
                 makespan(equal_sizes, gov),
-                makespan(sched.samples_per_user(), gov),
+                makespan(counts * d, gov),
             )
         return out
 

@@ -11,10 +11,11 @@ Run:  python examples/adaptive_scheduling.py
 
 import numpy as np
 
-from repro.core import AdaptiveScheduler, build_cost_matrix, fed_lbap
+from repro.core import build_cost_matrix
 from repro.experiments.realized import realized_times
 from repro.experiments.testbeds import cached_time_curves, testbed_names
 from repro.models import lenet
+from repro.sched import AdaptiveScheduler, fed_lbap
 
 
 def main() -> None:
@@ -24,12 +25,8 @@ def main() -> None:
 
     # Reference: the paper's pipeline (offline profiles -> one schedule).
     curves = cached_time_curves(names, model)
-    offline, _ = fed_lbap(
-        build_cost_matrix(curves, shards, d), shards, d
-    )
-    t_offline = realized_times(
-        offline.samples_per_user(), names, model
-    ).max()
+    offline, _ = fed_lbap(build_cost_matrix(curves, shards, d), shards)
+    t_offline = realized_times(offline * d, names, model).max()
     print(
         f"offline-profiled Fed-LBAP makespan (testbed 2, 60K LeNet): "
         f"{t_offline:.1f} s\n"
@@ -45,12 +42,10 @@ def main() -> None:
     print("round  makespan  allocation (samples x1000)")
     for r in range(6):
         sched = ada.next_schedule()
-        times = realized_times(sched.samples_per_user(), names, model)
-        active = sched.samples_per_user() > 0
-        makespan = times[active].max()
-        alloc = " ".join(
-            f"{s / 1000:5.1f}" for s in sched.samples_per_user()
-        )
+        samples = sched * d
+        times = realized_times(samples, names, model)
+        makespan = times[samples > 0].max()
+        alloc = " ".join(f"{s / 1000:5.1f}" for s in samples)
         print(f"{r + 1:5d}  {makespan:7.1f}s  [{alloc}]")
         ada.observe_round(sched, times)
     print(

@@ -11,7 +11,7 @@ Run:  python examples/beyond_the_paper.py
 
 import numpy as np
 
-from repro.core import build_cost_matrix, fed_lbap
+from repro.core import build_cost_matrix
 from repro.data import iid_partition, load_preset
 from repro.device import make_device
 from repro.experiments.realized import realized_times
@@ -28,6 +28,7 @@ from repro.federated import (
     make_topology,
 )
 from repro.models import build_model, lenet
+from repro.sched import fed_lbap
 
 
 def dropout_comparison() -> None:
@@ -41,8 +42,8 @@ def dropout_comparison() -> None:
     )
     curves = cached_time_curves(names, model)
     cost = build_cost_matrix(curves, 120, 500)
-    sched, _ = fed_lbap(cost, 120, 500)
-    t_lbap = realized_times(sched.samples_per_user(), names, model).max()
+    counts, _ = fed_lbap(cost, 120)
+    t_lbap = realized_times(counts * 500, names, model).max()
     print(
         f"   dropout : round = {t_drop:6.1f} s, discards "
         f"{len(dropped)} device(s) = "

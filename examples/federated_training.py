@@ -11,6 +11,7 @@ Run:  python examples/federated_training.py
 
 import numpy as np
 
+from repro.core import class_coverage
 from repro.data import load_preset, materialize_schedule
 from repro.experiments.minavg_runs import schedule_minavg
 from repro.experiments.scenarios import scenario_classes
@@ -27,22 +28,21 @@ def main() -> None:
     names = testbed_names(testbed)
     classes = scenario_classes(scenario)
 
-    # 1. Schedule the (full-scale) workload with Fed-MinAvg, then replay
+    # 1. Plan the (full-scale) workload with Fed-MinAvg, then replay
     #    its shape on the fast mini dataset.
-    sched = schedule_minavg(
+    counts = schedule_minavg(
         testbed, classes, "mnist", "lenet",
         alpha=100.0, beta=2.0, shard_size=100,
     )
     print("Fed-MinAvg schedule (alpha=100, beta=2):")
-    for name, cs, n in zip(names, classes, sched.samples_per_user()):
+    for name, cs, n in zip(names, classes, counts * 100):
         print(f"  {name:8s} classes={cs!s:28s} -> {n:6d} samples")
-    print(f"  class coverage: {sched.meta['coverage']:.0%}\n")
+    coverage = class_coverage(counts, classes, 10)
+    print(f"  class coverage: {coverage:.0%}\n")
 
     dataset = load_preset("mnist_mini")
-    mini_counts = np.maximum(
-        (sched.shard_counts * 40 / sched.total_shards).astype(int), 0
-    )
-    mini_counts[(sched.shard_counts > 0) & (mini_counts == 0)] = 1
+    mini_counts = np.maximum((counts * 40 / counts.sum()).astype(int), 0)
+    mini_counts[(counts > 0) & (mini_counts == 0)] = 1
     users = materialize_schedule(
         dataset, mini_counts, classes, shard_size=50, seed=0
     )

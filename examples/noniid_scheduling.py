@@ -9,6 +9,7 @@ the time/accuracy/coverage trade-off of Fig. 6.
 Run:  python examples/noniid_scheduling.py
 """
 
+from repro.core import class_coverage
 from repro.experiments.flruns import FLRunConfig, accuracy_of_schedule
 from repro.experiments.minavg_runs import schedule_minavg
 from repro.experiments.realized import realized_makespan
@@ -38,22 +39,18 @@ def main() -> None:
     print("-" * len(header))
     for beta in (0.0, 2.0):
         for alpha in (100.0, 1000.0, 5000.0):
-            sched = schedule_minavg(
+            counts = schedule_minavg(
                 1, classes, "cifar10", "lenet",
                 alpha=alpha, beta=beta, shard_size=100,
             )
-            makespan = realized_makespan(
-                sched.samples_per_user(), names, model
-            )
-            acc = accuracy_of_schedule(
-                "cifar10_mini", sched.shard_counts, classes, fl
-            )
-            alloc = " ".join(
-                f"{s:>8.1f}K" for s in sched.samples_per_user() / 1e3
-            )
+            samples = counts * 100
+            makespan = realized_makespan(samples, names, model)
+            acc = accuracy_of_schedule("cifar10_mini", counts, classes, fl)
+            alloc = " ".join(f"{s:>8.1f}K" for s in samples / 1e3)
+            coverage = class_coverage(counts, classes, 10)
             print(
                 f"{alpha:6.0f} {beta:5.1f} | {alloc} | "
-                f"{makespan:8.1f}s {sched.meta['coverage']:8.0%} "
+                f"{makespan:8.1f}s {coverage:8.0%} "
                 f"{acc:8.3f}"
             )
     print(

@@ -11,17 +11,17 @@ Run:  python examples/quickstart.py
 
 import numpy as np
 
-from repro.core import (
-    build_cost_matrix,
+from repro.core import build_cost_matrix
+from repro.device import build_spec
+from repro.experiments.realized import realized_times
+from repro.experiments.testbeds import cached_time_curves, testbed_names
+from repro.models import lenet
+from repro.sched import (
     equal_schedule,
     fed_lbap,
     proportional_schedule,
     random_schedule,
 )
-from repro.device import build_spec
-from repro.experiments.realized import realized_times
-from repro.experiments.testbeds import cached_time_curves, testbed_names
-from repro.models import lenet
 
 
 def main() -> None:
@@ -42,26 +42,24 @@ def main() -> None:
 
     # 2. Fed-LBAP: joint partitioning + assignment (Algorithm 1).
     cost = build_cost_matrix(curves, total_shards, shard_size)
-    schedule, bottleneck = fed_lbap(cost, total_shards, shard_size)
+    counts, bottleneck = fed_lbap(cost, total_shards)
     print(f"\nFed-LBAP bottleneck estimate: {bottleneck:.1f} s")
-    print(f"allocation (samples/user):    {schedule.samples_per_user()}")
+    print(f"allocation (samples/user):    {counts * shard_size}")
 
     # 3. Compare realized makespans against the paper's baselines.
     rng = np.random.default_rng(0)
-    schedules = {
-        "fed-lbap": schedule,
-        "equal": equal_schedule(len(names), total_shards, shard_size),
-        "random": random_schedule(
-            len(names), total_shards, shard_size, rng
-        ),
+    allocations = {
+        "fed-lbap": counts,
+        "equal": equal_schedule(len(names), total_shards),
+        "random": random_schedule(len(names), total_shards, rng),
         "proportional": proportional_schedule(
-            [build_spec(n) for n in names], total_shards, shard_size
+            [build_spec(n) for n in names], total_shards
         ),
     }
     print("\nrealized synchronous-round makespan:")
     results = {}
-    for label, sched in schedules.items():
-        times = realized_times(sched.samples_per_user(), names, model)
+    for label, alloc in allocations.items():
+        times = realized_times(alloc * shard_size, names, model)
         results[label] = times.max()
         print(f"  {label:12s}: {times.max():8.1f} s")
     best_baseline = min(v for k, v in results.items() if k != "fed-lbap")

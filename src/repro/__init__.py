@@ -3,9 +3,11 @@ Battery-powered Mobile Devices* (Wang, Wei, Zhou; IEEE IPDPS 2020).
 
 Public API highlights:
 
-* :mod:`repro.core` — Fed-LBAP / Fed-MinAvg schedulers and baselines.
-* :mod:`repro.sched` — the pluggable scheduler subsystem: registry,
-  OLAR / MinEnergy from related work, cost models, bench harness.
+* :mod:`repro.core` — the paper's cost model (cost matrices, Eq.-(6)
+  accuracy cost, P2 objective).
+* :mod:`repro.sched` — the scheduling layer: Fed-LBAP / Fed-MinAvg,
+  the baselines, OLAR / MinEnergy from related work, registry, cost
+  models, bench harness.
 * :mod:`repro.device` — calibrated mobile-SoC simulator (Table I phones).
 * :mod:`repro.profiling` — the two-step training-time profiler.
 * :mod:`repro.engine` — the unified event-driven FL execution core

@@ -13,8 +13,8 @@ structures those rules need:
   and decorators; functions with their signatures; constants; the
   ``__all__`` export list),
 * an **import graph** with proper relative-import resolution
-  (``from ..core.schedule import Schedule`` inside
-  ``repro/sched/base.py`` is an edge to ``repro.core.schedule``), and
+  (``from ..core.cost import build_cost_matrix`` inside
+  ``repro/sched/costs.py`` is an edge to ``repro.core.cost``), and
 * an approximate, name-resolution-based **call graph** (no execution:
   a call site resolves through the module's import bindings to a
   dotted target, e.g. ``get_scheduler`` ->

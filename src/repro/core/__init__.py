@@ -1,22 +1,15 @@
-"""The paper's core contribution: data-as-a-knob scheduling.
+"""The paper's cost model.
 
-* :func:`fed_lbap` — Algorithm 1, min-makespan joint partitioning and
-  assignment for IID data (P1).
-* :func:`fed_minavg` — Algorithm 2, min-average-cost shard allocation
-  with the Eq.-(6) accuracy cost for non-IID data (P2).
-* Baselines (Equal / Random / Proportional), cost-matrix builders,
-  schedule evaluation, and brute-force test oracles.
+* Cost-matrix and time-curve builders (``cost``) — the ``C[j, k]``
+  matrix Fed-LBAP consumes and the per-user curves Fed-MinAvg consumes.
+* The Eq.-(6) accuracy cost and class coverage (``accuracy_cost``).
+* The Eq.-(7) P2 objective of an allocation (``objective``).
+
+The solvers that turn this model into shard counts live in
+:mod:`repro.sched`.
 """
 
-from .accuracy_cost import AccuracyCostTracker, accuracy_cost
-from .adaptive import AdaptiveScheduler
-from .baselines import (
-    equal_schedule,
-    mean_cpu_freq_per_core,
-    proportional_schedule,
-    random_schedule,
-)
-from .brute import brute_force_makespan, brute_force_p2, compositions
+from .accuracy_cost import AccuracyCostTracker, accuracy_cost, class_coverage
 from .cost import (
     build_cost_matrix,
     comm_costs_for,
@@ -24,37 +17,16 @@ from .cost import (
     enforce_property1,
     oracle_curves,
 )
-from .lbap import fed_lbap, feasible_at_threshold, solve_lbap_threshold_exact
-from .minavg import fed_minavg
-from .minavg_fast import fed_minavg_affine
 from .objective import p2_objective
-from .privacy import fed_minavg_private
-from .schedule import RoundCost, Schedule, evaluate_makespan
 
 __all__ = [
     "AccuracyCostTracker",
-    "AdaptiveScheduler",
     "accuracy_cost",
-    "equal_schedule",
-    "mean_cpu_freq_per_core",
-    "proportional_schedule",
-    "random_schedule",
-    "brute_force_makespan",
-    "brute_force_p2",
-    "compositions",
+    "class_coverage",
     "build_cost_matrix",
     "comm_costs_for",
     "curves_from_profiles",
     "enforce_property1",
     "oracle_curves",
-    "fed_lbap",
-    "feasible_at_threshold",
-    "solve_lbap_threshold_exact",
-    "fed_minavg",
-    "fed_minavg_affine",
     "p2_objective",
-    "fed_minavg_private",
-    "RoundCost",
-    "Schedule",
-    "evaluate_makespan",
 ]

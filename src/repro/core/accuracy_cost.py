@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, Sequence, Set, Tuple
 
-__all__ = ["accuracy_cost", "AccuracyCostTracker"]
+__all__ = ["accuracy_cost", "AccuracyCostTracker", "class_coverage"]
 
 
 def accuracy_cost(
@@ -211,3 +211,21 @@ class AccuracyCostTracker:
     def coverage_fraction(self) -> float:
         """Fraction of test classes covered by the scheduled users."""
         return len(self.covered) / self.num_classes
+
+
+def class_coverage(
+    shard_counts: Sequence[int],
+    user_classes: Sequence[Tuple[int, ...]],
+    num_classes: int,
+) -> float:
+    """Fraction of the ``num_classes`` test classes held by the users
+    an allocation assigns shards to — the union of their class sets,
+    as :meth:`AccuracyCostTracker.coverage_fraction` reports after a
+    Fed-MinAvg run."""
+    if len(shard_counts) != len(user_classes):
+        raise ValueError("one class set per user required")
+    covered: Set[int] = set()
+    for k, classes in zip(shard_counts, user_classes):
+        if k > 0:
+            covered.update(int(c) for c in classes)
+    return len(covered) / num_classes

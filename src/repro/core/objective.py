@@ -18,13 +18,13 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .accuracy_cost import AccuracyCostTracker
-from .schedule import Schedule
 
 __all__ = ["p2_objective"]
 
 
 def p2_objective(
-    schedule: Schedule,
+    shard_counts: Sequence[int],
+    shard_size: int,
     time_curves: Sequence[Callable[[float], float]],
     user_classes: Sequence[Tuple[int, ...]],
     num_classes: int,
@@ -33,13 +33,15 @@ def p2_objective(
     comm_costs: Optional[Sequence[float]] = None,
     semantics: str = "disjoint",
 ) -> float:
-    """Evaluate Eq. (7) for an allocation.
+    """Evaluate Eq. (7) for an allocation of ``shard_counts[j]``
+    shards of ``shard_size`` samples to each user ``j``.
 
     Returns ``sum_j [T_j(l_j d) + comm_j + alpha F_j]`` over users with
     ``l_j > 0``, with ``F_j`` evaluated at the moment user ``j`` is
     accounted (tracker state grows as users are added).
     """
-    n = schedule.n_users
+    counts = np.asarray(shard_counts, dtype=np.int64)
+    n = len(counts)
     if len(time_curves) != n or len(user_classes) != n:
         raise ValueError("curves/classes length must match the schedule")
     comm = (
@@ -51,12 +53,11 @@ def p2_objective(
         user_classes, num_classes, alpha, beta, semantics=semantics
     )
     total = 0.0
-    samples = schedule.samples_per_user()
     for j in range(n):
-        if schedule.shard_counts[j] <= 0:
+        if counts[j] <= 0:
             continue
-        total += float(time_curves[j](float(samples[j])))
+        total += float(time_curves[j](float(counts[j] * shard_size)))
         total += float(comm[j])
         total += tracker.scaled_cost(j)
-        tracker.record_assignment(j, int(schedule.shard_counts[j]))
+        tracker.record_assignment(j, int(counts[j]))
     return total

@@ -477,7 +477,7 @@ class RoundEngine:
                     shard_counts=tuple(
                         int(k) for k in assignment.shard_counts
                     ),
-                    shard_size=assignment.schedule.shard_size,
+                    shard_size=assignment.shard_size,
                     predicted_makespan_s=assignment.predicted_makespan_s,
                     predicted_energy_j=assignment.predicted_energy_j,
                     time_s=self.clock_s,

@@ -15,16 +15,16 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ..core.baselines import (
+from ..core.cost import build_cost_matrix, comm_costs_for
+from ..device.registry import build_spec
+from ..models.zoo import CIFAR_SHAPE, MNIST_SHAPE, build_model
+from ..network.link import make_link
+from ..sched.baselines import (
     equal_schedule,
     proportional_schedule,
     random_schedule,
 )
-from ..core.cost import build_cost_matrix
-from ..core.lbap import fed_lbap
-from ..device.registry import build_spec
-from ..models.zoo import CIFAR_SHAPE, MNIST_SHAPE, build_model
-from ..network.link import make_link
+from ..sched.lbap import fed_lbap
 from .realized import realized_makespan
 from .runner import ExperimentResult
 from .testbeds import cached_time_curves, testbed_names
@@ -69,8 +69,7 @@ def schedule_iid(
     ``links`` optionally supplies one Link per user so Fed-LBAP sees
     heterogeneous communication costs (Eq. 2's per-user T_u + T_d); by
     default communication is uniform and treated as a constant, as in
-    the paper's main comparison. Returns a
-    :class:`repro.core.schedule.Schedule`.
+    the paper's main comparison. Returns per-user shard counts.
     """
     names = testbed_names(testbed)
     n = len(names)
@@ -78,23 +77,21 @@ def schedule_iid(
     shards = total // shard_size
     model = build_model(model_name, input_shape=_DATASET_SHAPES[dataset])
     if scheduler == "fed-lbap":
-        from ..core.cost import comm_costs_for
-
         curves = cached_time_curves(names, model)
         comm = comm_costs_for(model, links) if links is not None else None
         cost = build_cost_matrix(
             curves, shards, shard_size, comm_costs=comm
         )
-        sched, _ = fed_lbap(cost, shards, shard_size)
-        return sched
+        counts, _ = fed_lbap(cost, shards)
+        return counts
     if scheduler == "equal":
-        return equal_schedule(n, shards, shard_size)
+        return equal_schedule(n, shards)
     if scheduler == "random":
         rng = rng or np.random.default_rng(0)
-        return random_schedule(n, shards, shard_size, rng)
+        return random_schedule(n, shards, rng)
     if scheduler == "proportional":
         specs = [build_spec(name) for name in names]
-        return proportional_schedule(specs, shards, shard_size)
+        return proportional_schedule(specs, shards)
     raise KeyError(f"unknown scheduler {scheduler!r}")
 
 
@@ -142,7 +139,7 @@ def run(config: Optional[Fig5Config] = None) -> ExperimentResult:
                             )
                             vals.append(
                                 realized_makespan(
-                                    sched.samples_per_user(),
+                                    sched * cfg.shard_size,
                                     names,
                                     model,
                                     link=link,
@@ -154,7 +151,7 @@ def run(config: Optional[Fig5Config] = None) -> ExperimentResult:
                             scheduler, tb, ds, model_name, cfg.shard_size
                         )
                         cell[scheduler] = realized_makespan(
-                            sched.samples_per_user(), names, model, link=link
+                            sched * cfg.shard_size, names, model, link=link
                         )
                 best_baseline = min(
                     cell["proportional"], cell["random"], cell["equal"]

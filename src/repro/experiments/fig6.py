@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
+from ..core.accuracy_cost import class_coverage
 from ..models.zoo import build_model
 from .flruns import FLRunConfig, accuracy_of_schedule
 from .minavg_runs import dataset_shape, schedule_minavg
@@ -90,13 +91,13 @@ def run(config: Optional[Fig6Config] = None) -> ExperimentResult:
                     shard_size=cfg.shard_size,
                 )
                 makespan = realized_makespan(
-                    sched.samples_per_user(), names, model
+                    sched * cfg.shard_size, names, model
                 )
                 acc = None
                 if cfg.with_accuracy:
                     acc = accuracy_of_schedule(
                         f"{cfg.dataset}_mini",
-                        sched.shard_counts,
+                        sched,
                         classes,
                         cfg.fl,
                     )
@@ -105,7 +106,7 @@ def run(config: Optional[Fig6Config] = None) -> ExperimentResult:
                     alpha=alpha,
                     beta=beta,
                     makespan_s=makespan,
-                    coverage=float(sched.meta["coverage"]),
+                    coverage=class_coverage(sched, classes, 10),
                     accuracy=acc if acc is not None else float("nan"),
                 )
     result.add_note(

@@ -14,14 +14,14 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ..core.baselines import (
+from ..data.partition import nclass_noniid_classes
+from ..device.registry import build_spec
+from ..models.zoo import build_model
+from ..sched.baselines import (
     equal_schedule,
     proportional_schedule,
     random_schedule,
 )
-from ..data.partition import nclass_noniid_classes
-from ..device.registry import build_spec
-from ..models.zoo import build_model
 from .fig5 import DATASET_TOTALS
 from .minavg_runs import best_alpha_schedule, dataset_shape
 from .realized import realized_makespan
@@ -108,24 +108,18 @@ def run(config: Optional[Fig7Config] = None) -> ExperimentResult:
                         shard_size=cfg.shard_size,
                     )
                     sums["fed-minavg"] += realized_makespan(
-                        sched.samples_per_user(), names, model
+                        sched * cfg.shard_size, names, model
                     )
                     base_scheds = {
                         "proportional": proportional_schedule(
-                            [build_spec(nm) for nm in names],
-                            shards,
-                            cfg.shard_size,
+                            [build_spec(nm) for nm in names], shards
                         ),
-                        "random": random_schedule(
-                            n, shards, cfg.shard_size, rng
-                        ),
-                        "equal": equal_schedule(
-                            n, shards, cfg.shard_size
-                        ),
+                        "random": random_schedule(n, shards, rng),
+                        "equal": equal_schedule(n, shards),
                     }
                     for k, s in base_scheds.items():
                         sums[k] += realized_makespan(
-                            s.samples_per_user(), names, model
+                            s * cfg.shard_size, names, model
                         )
                 cell = {
                     k: v / cfg.permutations for k, v in sums.items()

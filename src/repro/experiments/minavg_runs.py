@@ -7,9 +7,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.minavg import fed_minavg
-from ..core.schedule import Schedule
 from ..models.zoo import CIFAR_SHAPE, MNIST_SHAPE, build_model
+from ..sched.minavg import fed_minavg
 from .fig5 import DATASET_TOTALS
 from .testbeds import cached_time_curves, testbed_names
 
@@ -58,8 +57,9 @@ def schedule_minavg(
     shard_size: int = 250,
     num_classes: int = 10,
     use_capacities: bool = True,
-) -> Schedule:
-    """One Fed-MinAvg run for a scenario on its testbed."""
+) -> np.ndarray:
+    """One Fed-MinAvg run for a scenario on its testbed; returns
+    per-user shard counts."""
     names = testbed_names(testbed)
     if len(user_classes) != len(names):
         raise ValueError(
@@ -96,25 +96,26 @@ def best_alpha_schedule(
     beta: float,
     shard_size: int = 250,
     makespan_fn=None,
-) -> Tuple[Schedule, float]:
-    """Search alpha over a grid and keep the schedule with the smallest
-    makespan (the paper 'found the best alpha over [100, 5000]').
+) -> Tuple[np.ndarray, float]:
+    """Search alpha over a grid and keep the shard counts with the
+    smallest makespan (the paper 'found the best alpha over
+    [100, 5000]').
 
-    ``makespan_fn(schedule) -> seconds`` scores candidates; by default
+    ``makespan_fn(counts) -> seconds`` scores candidates; by default
     the profiled bottleneck (max per-user predicted time) is used.
     """
     names = testbed_names(testbed)
     model = build_model(model_name, input_shape=dataset_shape(dataset))
     curves = cached_time_curves(names, model)
 
-    def default_makespan(schedule: Schedule) -> float:
-        samples = schedule.samples_per_user()
+    def default_makespan(counts: np.ndarray) -> float:
+        samples = counts * shard_size
         return max(
             curves[j](float(s)) for j, s in enumerate(samples) if s > 0
         )
 
     score = makespan_fn or default_makespan
-    best: Optional[Schedule] = None
+    best: Optional[np.ndarray] = None
     best_val = np.inf
     for alpha in alphas:
         sched = schedule_minavg(

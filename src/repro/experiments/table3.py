@@ -114,7 +114,7 @@ def run(config: Optional[Table3Config] = None) -> ExperimentResult:
                             np.random.default_rng(cfg.seed + 31 * rep),
                         )
                         sizes = scale_counts(
-                            sched.shard_counts, cfg.mini_shards
+                            sched, cfg.mini_shards
                         ) * mini_shard_size
                         # Drop zero-size users for partitioning; they
                         # simply never participate.

@@ -63,7 +63,7 @@ def run(config: Optional[Table4Config] = None) -> ExperimentResult:
                 beta=beta,
                 shard_size=cfg.shard_size,
             )
-            allocations.append(sched.samples_per_user() / 1e3)
+            allocations.append(sched * cfg.shard_size / 1e3)
         for j, (name, cls) in enumerate(zip(names, classes)):
             result.add_row(
                 scenario=scen,

@@ -17,13 +17,13 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ..core.baselines import (
+from ..device.registry import build_spec
+from ..data.partition import nclass_noniid_classes
+from ..sched.baselines import (
     equal_schedule,
     proportional_schedule,
     random_schedule,
 )
-from ..device.registry import build_spec
-from ..data.partition import nclass_noniid_classes
 from .fig5 import DATASET_TOTALS
 from .flruns import FLRunConfig, accuracy_of_schedule
 from .minavg_runs import best_alpha_schedule
@@ -90,14 +90,10 @@ def run(config: Optional[Table5Config] = None) -> ExperimentResult:
                 )
                 scheds = {
                     "proportional": proportional_schedule(
-                        [build_spec(nm) for nm in names],
-                        shards,
-                        cfg.shard_size,
+                        [build_spec(nm) for nm in names], shards
                     ),
-                    "random": random_schedule(
-                        n, shards, cfg.shard_size, rng
-                    ),
-                    "equal": equal_schedule(n, shards, cfg.shard_size),
+                    "random": random_schedule(n, shards, rng),
+                    "equal": equal_schedule(n, shards),
                     "fed-minavg": best_alpha_schedule(
                         tb,
                         classes,
@@ -118,7 +114,7 @@ def run(config: Optional[Table5Config] = None) -> ExperimentResult:
                         accs.append(
                             accuracy_of_schedule(
                                 f"{ds}_mini",
-                                sched.shard_counts,
+                                sched,
                                 classes,
                                 rep_fl,
                             )

@@ -9,13 +9,17 @@ here the way aggregation strategies and topologies are in
   does each user train";
 * a decorator registry (``registry``) — ``@register("olar")``,
   ``get_scheduler``, ``available_schedulers``;
-* adapters (``adapters``) — the paper's Fed-LBAP / Fed-MinAvg and the
-  Equal / Random / Proportional baselines, bit-identical to the loose
-  functions in :mod:`repro.core` they wrap;
+* the paper's algorithms — Fed-LBAP (``lbap``, Alg. 1) and Fed-MinAvg
+  (``minavg``, Alg. 2, with its affine fast path and private mode) —
+  and the Equal / Random / Proportional baselines (``baselines``);
+  each module holds a plain solver returning int64 shard counts and
+  the registered class that wraps it;
 * two algorithms from related work: :class:`OLARScheduler`
   (Pilla 2020, provably min-makespan for monotone costs) and
   :class:`MinEnergyScheduler` (Pilla 2022, exact (MC)²MKP
   minimal-energy DP with an optional makespan cap);
+* :class:`AdaptiveScheduler` (``adaptive``) — closed-loop Fed-LBAP
+  over online-updated profiles; stateful, so not registered;
 * cost-model builders (``costs``) — time *and* energy matrices from
   the calibrated device simulator;
 * the comparison harness (``bench``) and the engine glue
@@ -26,16 +30,24 @@ Registered names: ``equal``, ``fed_lbap``, ``fed_minavg``,
 ``random``.
 """
 
-from . import adapters, minenergy, olar  # register built-in schedulers
-from .adapters import (
+from . import baselines, lbap, minavg, minenergy, olar  # register built-ins
+from .adaptive import AdaptiveScheduler
+from .base import (
+    Assignment,
+    RoundCost,
+    Scheduler,
+    SchedulingProblem,
+    check_counts,
+    evaluate_makespan,
+)
+from .baselines import (
     EqualScheduler,
-    FedLBAPScheduler,
-    FedMinAvgFastScheduler,
-    FedMinAvgScheduler,
     ProportionalScheduler,
     RandomScheduler,
+    equal_schedule,
+    proportional_schedule,
+    random_schedule,
 )
-from .base import Assignment, Scheduler, SchedulingProblem
 from .bench import CompareRow, compare, format_table, sweep
 from .binding import EngineSchedulerBinding, problem_from_engine
 from .costs import (
@@ -44,6 +56,14 @@ from .costs import (
     cached_energy_curves,
     cached_time_curves,
     testbed_problem,
+)
+from .lbap import FedLBAPScheduler, fed_lbap
+from .minavg import (
+    FedMinAvgFastScheduler,
+    FedMinAvgScheduler,
+    fed_minavg,
+    fed_minavg_affine,
+    fed_minavg_private,
 )
 from .minenergy import MinEnergyScheduler, min_energy_assign
 from .olar import OLARScheduler, olar_assign
@@ -59,6 +79,9 @@ __all__ = [
     "Assignment",
     "Scheduler",
     "SchedulingProblem",
+    "check_counts",
+    "RoundCost",
+    "evaluate_makespan",
     "register",
     "get_scheduler",
     "scheduler_class",
@@ -72,6 +95,14 @@ __all__ = [
     "FedMinAvgFastScheduler",
     "OLARScheduler",
     "MinEnergyScheduler",
+    "AdaptiveScheduler",
+    "fed_lbap",
+    "fed_minavg",
+    "fed_minavg_affine",
+    "fed_minavg_private",
+    "equal_schedule",
+    "random_schedule",
+    "proportional_schedule",
     "olar_assign",
     "min_energy_assign",
     "testbed_problem",

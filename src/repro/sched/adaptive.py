@@ -16,6 +16,10 @@ profile keeps its prior, and because Fed-LBAP only starves users whose
 predicted cost is high, a mistakenly-written-off device can be given a
 probe allocation every ``probe_every`` rounds so the loop cannot lock
 itself out of a recovered device.
+
+The scheduler is stateful (each round changes its profiles), so it is
+deliberately not a registered :class:`~repro.sched.base.Scheduler`,
+whose ``schedule()`` must be a pure function of the problem.
 """
 
 from __future__ import annotations
@@ -25,10 +29,9 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
+from ..core.cost import build_cost_matrix
 from ..profiling.online import OnlineTimeProfile
-from .cost import build_cost_matrix
 from .lbap import fed_lbap
-from .schedule import Schedule
 
 __all__ = ["AdaptiveScheduler"]
 
@@ -79,8 +82,9 @@ class AdaptiveScheduler:
     def n_users(self) -> int:
         return len(self.profiles)
 
-    def next_schedule(self) -> Schedule:
-        """Schedule the upcoming round from the current profiles."""
+    def next_schedule(self) -> np.ndarray:
+        """Shard counts for the upcoming round from the current
+        profiles."""
         curves = [p.curve() for p in self.profiles]
         cost = build_cost_matrix(
             curves,
@@ -88,14 +92,14 @@ class AdaptiveScheduler:
             self.shard_size,
             comm_costs=self.comm_costs,
         )
-        schedule, _ = fed_lbap(cost, self.total_shards, self.shard_size)
+        counts, _ = fed_lbap(cost, self.total_shards)
         if self.probe_every and self.round_idx % self.probe_every == (
             self.probe_every - 1
         ):
-            schedule = self._with_probes(schedule)
-        return schedule
+            counts = self._with_probes(counts)
+        return counts
 
-    def _with_probes(self, schedule: Schedule) -> Schedule:
+    def _with_probes(self, counts: np.ndarray) -> np.ndarray:
         """Divert a few shards to each starved user so its profile gets
         fresh observations.
 
@@ -104,7 +108,7 @@ class AdaptiveScheduler:
         intercept, so varying the size is what lets RLS re-learn the
         slope of a device written off by a bad prior.
         """
-        counts = schedule.shard_counts.copy()
+        counts = counts.copy()
         probe = 1 + (self.round_idx // max(self.probe_every, 1)) % 3
         for j in range(self.n_users):
             # Top up any starved-or-stuck allocation to the probe size;
@@ -116,16 +120,11 @@ class AdaptiveScheduler:
                     break
                 counts[donor] -= 1
                 counts[j] += 1
-        return Schedule(
-            counts,
-            schedule.shard_size,
-            algorithm="fed-lbap+probe",
-            meta=dict(schedule.meta),
-        )
+        return counts
 
     def observe_round(
         self,
-        schedule: Schedule,
+        counts: np.ndarray,
         times_s: Sequence[float],
     ) -> None:
         """Fold the realized per-user round times into the profiles.
@@ -134,11 +133,11 @@ class AdaptiveScheduler:
         signal). Communication costs, if configured, are subtracted so
         the profile models compute time only.
         """
-        if schedule.n_users != self.n_users:
+        if len(counts) != self.n_users:
             raise ValueError("schedule user count mismatch")
         if len(times_s) != self.n_users:
             raise ValueError("one time per user required")
-        samples = schedule.samples_per_user()
+        samples = np.asarray(counts) * self.shard_size
         for j in range(self.n_users):
             if samples[j] <= 0:
                 continue
@@ -148,9 +147,9 @@ class AdaptiveScheduler:
             self.profiles[j].observe(float(samples[j]), t)
         self.round_idx += 1
 
-    def predicted_makespan(self, schedule: Schedule) -> float:
-        """What the current profiles expect the schedule to cost."""
-        samples = schedule.samples_per_user()
+    def predicted_makespan(self, counts: np.ndarray) -> float:
+        """What the current profiles expect the allocation to cost."""
+        samples = np.asarray(counts) * self.shard_size
         return max(
             self.profiles[j].predict(float(s))
             + (self.comm_costs[j] if self.comm_costs is not None else 0.0)

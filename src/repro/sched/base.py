@@ -2,9 +2,9 @@
 
 The paper's algorithms (Fed-LBAP, Fed-MinAvg), the Sec.-VII baselines
 and the related-work additions (OLAR, MinEnergy) all answer the same
-question — *how many data shards does each user train this round?* —
-but historically lived as loose functions with incompatible signatures.
-This module gives them one shape:
+question — *how many data shards does each user train this round?*
+Each module holds a plain solver returning an int64 count array and
+the registered class that wraps it. This module gives them one shape:
 
 * :class:`SchedulingProblem` — the full instance a scheduler may
   consult: time/energy cost matrices (``C[j, k]`` = cost of ``k+1``
@@ -12,13 +12,15 @@ This module gives them one shape:
   mapping users to rows), the shard budget, capacities, non-IID class sets,
   P2 weights and an RNG. Every field a given algorithm does not use is
   simply ignored by it.
-* :class:`Assignment` — a :class:`~repro.core.schedule.Schedule` plus
-  the *predicted* round makespan and energy under the problem's cost
-  model, so schedulers are comparable on a common yardstick before any
-  simulation runs.
+* :class:`Assignment` — the shard counts plus the *predicted* round
+  makespan and energy under the problem's cost model, so schedulers are
+  comparable on a common yardstick before any simulation runs.
 * :class:`Scheduler` — the ABC every algorithm implements
   (``schedule(problem) -> Assignment``); concrete classes self-register
   via :func:`repro.sched.registry.register`.
+* :func:`check_counts` — the one allocation check every solver and
+  :meth:`Scheduler._finish` run; :func:`evaluate_makespan` scores an
+  allocation against per-user time curves.
 """
 
 from __future__ import annotations
@@ -28,10 +30,49 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
+from numpy.typing import ArrayLike
 
-from ..core.schedule import Schedule
+__all__ = [
+    "SchedulingProblem",
+    "Assignment",
+    "Scheduler",
+    "check_counts",
+    "RoundCost",
+    "evaluate_makespan",
+]
 
-__all__ = ["SchedulingProblem", "Assignment", "Scheduler"]
+
+def check_counts(
+    counts: ArrayLike,
+    total_shards: int,
+    capacities: Optional[ArrayLike] = None,
+) -> np.ndarray:
+    """Validate a shard allocation and return it as an int64 array.
+
+    Rejects anything but a 1-D, non-negative allocation of exactly
+    ``total_shards`` shards that keeps every user within its capacity.
+    """
+    out = np.asarray(counts, dtype=np.int64)
+    if out.ndim != 1:
+        raise ValueError("shard_counts must be 1-D")
+    if (out < 0).any():
+        raise ValueError("shard counts must be non-negative")
+    allocated = int(out.sum())
+    if allocated != total_shards:
+        raise ValueError(
+            f"schedule allocates {allocated} shards, "
+            f"expected {total_shards}"
+        )
+    if capacities is not None:
+        caps = np.asarray(capacities, dtype=np.int64)
+        if caps.shape != out.shape:
+            raise ValueError("capacities length must match users")
+        over = np.flatnonzero(out > caps)
+        if over.size:
+            raise ValueError(
+                f"users {over.tolist()} exceed their shard capacity"
+            )
+    return out
 
 
 @dataclass
@@ -63,10 +104,9 @@ class SchedulingProblem:
         Eq.-(6) time/accuracy trade-off weights (P2 schedulers only).
     time_curves, comm_costs:
         Optional raw per-user ``T_j(n_samples)`` callables and one-off
-        communication seconds. Adapters that wrap curve-based
-        algorithms (Fed-MinAvg) use these verbatim so their output is
-        bit-identical to a direct call; matrix-based schedulers ignore
-        them.
+        communication seconds. Curve-based schedulers (Fed-MinAvg) use
+        these verbatim so their output is bit-identical to a direct
+        solver call; matrix-based schedulers ignore them.
     weights:
         Optional per-user processing-power estimates for the
         Proportional baseline (e.g. mean CPU frequency per core).
@@ -221,6 +261,12 @@ class SchedulingProblem:
             if (m < 0).any():
                 raise ValueError(f"{name} contains negative entries")
             setattr(self, name, m)
+        for name in ("capacities", "comm_costs", "weights", "time_curves"):
+            v = getattr(self, name)
+            if v is not None and (np.ndim(v) != 1 or len(v) != self.n_users):
+                raise ValueError(
+                    f"{name} must hold one entry per user ({self.n_users})"
+                )
         caps = self.effective_capacities()
         if (caps < 0).any():
             raise ValueError("capacities must be non-negative")
@@ -261,44 +307,21 @@ class SchedulingProblem:
 class Assignment:
     """A scheduler's answer, annotated with its predicted cost.
 
-    ``schedule`` carries the shard allocation; ``predicted_makespan_s``
-    and ``predicted_energy_j`` are evaluated against the *problem's*
-    cost matrices so every scheduler is scored on the same model.
+    ``shard_counts[j]`` shards of ``shard_size`` samples go to user
+    ``j``; ``predicted_makespan_s`` and ``predicted_energy_j`` are
+    evaluated against the *problem's* cost matrices so every scheduler
+    is scored on the same model.
     """
 
-    schedule: Schedule
+    shard_counts: np.ndarray
+    shard_size: int
     scheduler: str
     predicted_makespan_s: float
     predicted_energy_j: Optional[float] = None
     meta: Dict[str, object] = field(default_factory=dict)
 
-    @property
-    def shard_counts(self) -> np.ndarray:
-        return self.schedule.shard_counts
-
     def samples_per_user(self) -> np.ndarray:
-        return self.schedule.samples_per_user()
-
-    @classmethod
-    def from_schedule(
-        cls,
-        problem: SchedulingProblem,
-        schedule: Schedule,
-        scheduler: str,
-        **meta: object,
-    ) -> "Assignment":
-        """Wrap a raw schedule and score it against the problem."""
-        return cls(
-            schedule=schedule,
-            scheduler=scheduler,
-            predicted_makespan_s=problem.predicted_makespan(
-                schedule.shard_counts
-            ),
-            predicted_energy_j=problem.predicted_energy(
-                schedule.shard_counts
-            ),
-            meta=dict(meta),
-        )
+        return self.shard_counts * self.shard_size
 
 
 class Scheduler(ABC):
@@ -321,15 +344,88 @@ class Scheduler(ABC):
     def _finish(
         self,
         problem: SchedulingProblem,
-        schedule: Schedule,
+        counts: np.ndarray,
         **meta: object,
     ) -> Assignment:
-        """Validate totals/capacities and wrap the schedule."""
-        schedule.validate_total(problem.total_shards)
-        schedule.validate_capacities(problem.effective_capacities())
-        return Assignment.from_schedule(
-            problem, schedule, self.name, **meta
+        """Validate totals/capacities and score the allocation."""
+        counts = check_counts(
+            counts, problem.total_shards, problem.effective_capacities()
+        )
+        return Assignment(
+            shard_counts=counts,
+            shard_size=problem.shard_size,
+            scheduler=self.name,
+            predicted_makespan_s=problem.predicted_makespan(counts),
+            predicted_energy_j=problem.predicted_energy(counts),
+            meta=dict(meta),
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} name={self.name!r}>"
+
+
+@dataclass(frozen=True)
+class RoundCost:
+    """Evaluated cost of one synchronous round under an allocation."""
+
+    per_user_s: np.ndarray
+    makespan_s: float
+    mean_s: float
+    total_device_seconds: float
+
+    @property
+    def straggler_gap(self) -> float:
+        """Extra time the slowest participant needs over the mean —
+        the paper's straggler metric (Observation 4)."""
+        return self.makespan_s - self.mean_s
+
+    @property
+    def parallel_efficiency(self) -> float:
+        """mean/makespan in (0, 1]: 1.0 means perfectly balanced."""
+        if self.makespan_s == 0:
+            return 1.0
+        return self.mean_s / self.makespan_s
+
+
+def evaluate_makespan(
+    samples_per_user: ArrayLike,
+    time_curves: Sequence[Callable[[float], float]],
+    comm_costs: Optional[ArrayLike] = None,
+) -> RoundCost:
+    """Evaluate an allocation against per-user time curves.
+
+    Parameters
+    ----------
+    samples_per_user:
+        Samples per user this round (0 = the user sits the round out).
+    time_curves:
+        One callable per user mapping sample count -> seconds (profiled
+        curves or simulator oracles).
+    comm_costs:
+        Optional per-user communication seconds added for participants
+        (users with zero samples neither compute nor communicate).
+    """
+    samples = np.asarray(samples_per_user)
+    n = int(samples.shape[0])
+    if len(time_curves) != n:
+        raise ValueError("one time curve per user required")
+    comm = None if comm_costs is None else np.asarray(comm_costs, float)
+    if comm is not None and comm.shape != (n,):
+        raise ValueError("one comm cost per user required")
+    per_user = np.zeros(n)
+    for j in range(n):
+        if samples[j] > 0:
+            t = float(time_curves[j](float(samples[j])))
+            if comm is not None:
+                t += float(comm[j])
+            per_user[j] = t
+    participants = np.flatnonzero(samples > 0)
+    if participants.size == 0:
+        return RoundCost(per_user, 0.0, 0.0, 0.0)
+    active = per_user[participants]
+    return RoundCost(
+        per_user_s=per_user,
+        makespan_s=float(active.max()),
+        mean_s=float(active.mean()),
+        total_device_seconds=float(active.sum()),
+    )

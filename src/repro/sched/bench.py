@@ -110,7 +110,7 @@ def compare(
                 shard_counts=tuple(
                     int(k) for k in assignment.shard_counts
                 ),
-                shard_size=assignment.schedule.shard_size,
+                shard_size=assignment.shard_size,
                 predicted_makespan_s=assignment.predicted_makespan_s,
                 predicted_energy_j=assignment.predicted_energy_j,
                 time_s=0.0,

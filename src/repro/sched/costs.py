@@ -32,7 +32,6 @@ from typing import (
 
 import numpy as np
 
-from ..core.baselines import mean_cpu_freq_per_core
 from ..core.cost import build_cost_matrix
 from ..device.energy import energy_for_samples
 from ..device.registry import build_spec, make_device
@@ -41,6 +40,7 @@ from ..models.zoo import CIFAR_SHAPE, MNIST_SHAPE, build_model
 from ..obs.prof import PROFILER
 from ..profiling.profiler import bootstrap_curve
 from .base import SchedulingProblem
+from .baselines import mean_cpu_freq_per_core
 
 if TYPE_CHECKING:
     from ..fleet.store import FleetStore

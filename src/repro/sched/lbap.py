@@ -10,8 +10,8 @@ the others, a threshold ``c*`` is feasible exactly when
 so the optimal makespan is found by binary search over the sorted cost
 values — the paper's O(ns log ns) procedure (O(n^2 log n) when s = n).
 
-``fed_lbap`` returns both the optimal threshold and a concrete
-allocation: each user is given its maximal within-threshold shard count,
+``fed_lbap`` returns both a concrete allocation and the optimal
+threshold: each user is given its maximal within-threshold shard count,
 then the surplus over ``D`` is trimmed from the users whose *current*
 cost is highest (this never raises the bottleneck and tends to lower
 the realised makespan below ``c*``).
@@ -20,6 +20,8 @@ the realised makespan below ``c*``).
 classic LBAP thresholding algorithm (perfect matching via
 Hopcroft-Karp, as in Burkard et al.) used by the test-suite to validate
 the Fed-LBAP extension on square instances.
+
+:class:`FedLBAPScheduler` registers the solver as ``fed_lbap``.
 """
 
 from __future__ import annotations
@@ -28,9 +30,15 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .schedule import Schedule
+from .base import Assignment, Scheduler, SchedulingProblem, check_counts
+from .registry import register
 
-__all__ = ["fed_lbap", "feasible_at_threshold", "solve_lbap_threshold_exact"]
+__all__ = [
+    "FedLBAPScheduler",
+    "fed_lbap",
+    "feasible_at_threshold",
+    "solve_lbap_threshold_exact",
+]
 
 
 def feasible_at_threshold(
@@ -89,9 +97,8 @@ def _trim_to_total(
 def fed_lbap(
     cost: np.ndarray,
     total_shards: int,
-    shard_size: int = 1,
     capacities: Optional[np.ndarray] = None,
-) -> Tuple[Schedule, float]:
+) -> Tuple[np.ndarray, float]:
     """Run Fed-LBAP on a cost matrix.
 
     Parameters
@@ -101,8 +108,6 @@ def fed_lbap(
         ``cost[j, k]`` is user ``j``'s cost to take ``k+1`` shards.
     total_shards:
         The D of Eq. (3), in shards.
-    shard_size:
-        Samples per shard (propagated into the Schedule).
     capacities:
         Optional per-user maximum shard counts (storage/battery limits,
         the P2-style C_j carried over to P1). The threshold search
@@ -110,8 +115,8 @@ def fed_lbap(
 
     Returns
     -------
-    schedule, bottleneck:
-        The allocation and the optimal threshold ``c*`` (the minimal
+    counts, bottleneck:
+        Per-user shard counts and the optimal threshold ``c*`` (the minimal
         feasible bottleneck cost).
     """
     cost = np.asarray(cost, dtype=np.float64)
@@ -169,14 +174,7 @@ def fed_lbap(
     c_star = float(values[lo])
     _, counts = feasible_at_threshold(cost, c_star, total_shards, caps)
     counts = _trim_to_total(cost, counts, total_shards)
-    schedule = Schedule(
-        shard_counts=counts,
-        shard_size=shard_size,
-        algorithm="fed-lbap",
-        meta={"bottleneck": c_star},
-    )
-    schedule.validate_total(total_shards)
-    return schedule, c_star
+    return check_counts(counts, total_shards), c_star
 
 
 def solve_lbap_threshold_exact(cost: np.ndarray) -> Tuple[np.ndarray, float]:
@@ -204,7 +202,7 @@ def solve_lbap_threshold_exact(cost: np.ndarray) -> Tuple[np.ndarray, float]:
         g.add_edges_from(
             (("u", int(j)), ("t", int(i))) for j, i in zip(js, is_)
         )
-        match = nx.bipartite.maximum_matching(g, top_nodes=users)
+        match: dict = nx.bipartite.maximum_matching(g, top_nodes=users)
         if sum(1 for k in match if k[0] == "u") == n:
             return match
         return None
@@ -227,3 +225,16 @@ def solve_lbap_threshold_exact(cost: np.ndarray) -> Tuple[np.ndarray, float]:
         if key[0] == "u":
             assignment[key[1]] = val[1]
     return assignment, float(values[lo])
+
+
+@register("fed_lbap")
+class FedLBAPScheduler(Scheduler):
+    """Algorithm 1 (P1): threshold-optimal min-makespan partitioning."""
+
+    def schedule(self, problem: SchedulingProblem) -> Assignment:
+        counts, bottleneck = fed_lbap(
+            problem.dense_time_cost(),
+            problem.total_shards,
+            capacities=problem.capacities,
+        )
+        return self._finish(problem, counts, bottleneck=bottleneck)

@@ -31,7 +31,6 @@ from typing import Optional
 
 import numpy as np
 
-from ..core.schedule import Schedule
 from .base import Assignment, Scheduler, SchedulingProblem
 from .registry import register
 
@@ -132,12 +131,6 @@ class MinEnergyScheduler(Scheduler):
             time_cost=problem.dense_time_cost(),
             makespan_cap_s=cap,
         )
-        schedule = Schedule(
-            shard_counts=counts,
-            shard_size=problem.shard_size,
-            algorithm="min-energy",
-            meta={"makespan_cap_s": cap},
-        )
         return self._finish(
-            problem, schedule, energy_optimal=True, makespan_cap_s=cap
+            problem, counts, energy_optimal=True, makespan_cap_s=cap
         )

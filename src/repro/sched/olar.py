@@ -29,7 +29,6 @@ from typing import List, Tuple
 
 import numpy as np
 
-from ..core.schedule import Schedule
 from .base import Assignment, Scheduler, SchedulingProblem
 from .registry import register
 
@@ -76,14 +75,4 @@ class OLARScheduler(Scheduler):
         counts = olar_assign(
             problem.dense_time_cost(), problem.total_shards, caps
         )
-        schedule = Schedule(
-            shard_counts=counts,
-            shard_size=problem.shard_size,
-            algorithm="olar",
-            meta={"optimal": True},
-        )
-        return self._finish(
-            problem,
-            schedule,
-            makespan_optimal=True,
-        )
+        return self._finish(problem, counts, makespan_optimal=True)

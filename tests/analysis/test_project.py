@@ -30,23 +30,23 @@ def write_tree(tmp_path: Path, files: dict) -> Path:
 MINI = {
     "src/repro/__init__.py": "",
     "src/repro/core/__init__.py": (
-        "from .schedule import Schedule\n\n__all__ = [\"Schedule\"]\n"
+        "from .cost import RoundCost\n\n__all__ = [\"RoundCost\"]\n"
     ),
-    "src/repro/core/schedule.py": (
+    "src/repro/core/cost.py": (
         "N_USERS = 4\n"
         "\n"
         "\n"
-        "class Schedule:\n"
+        "class RoundCost:\n"
         "    def cost(self, makespan_s: float = 0.0) -> float:\n"
         "        return makespan_s\n"
     ),
     "src/repro/sched/__init__.py": "from . import olar\n",
     "src/repro/sched/base.py": (
-        "from ..core.schedule import Schedule\n"
+        "from ..core.cost import RoundCost\n"
         "\n"
         "\n"
         "class Scheduler:\n"
-        "    def schedule(self, problem) -> \"Schedule\":\n"
+        "    def schedule(self, problem) -> \"RoundCost\":\n"
         "        raise NotImplementedError\n"
     ),
     "src/repro/sched/olar.py": (
@@ -82,9 +82,9 @@ def test_module_name_for():
 
 def test_symbol_table(tmp_path):
     _, graph = build_mini(tmp_path)
-    sched = graph.modules["repro.core.schedule"]
-    assert isinstance(sched.constants["N_USERS"], ConstantInfo)
-    cls = sched.classes["Schedule"]
+    cost_mod = graph.modules["repro.core.cost"]
+    assert isinstance(cost_mod.constants["N_USERS"], ConstantInfo)
+    cls = cost_mod.classes["RoundCost"]
     cost = cls.methods["cost"]
     assert isinstance(cost, FunctionInfo)
     assert cost.params == ("self", "makespan_s")
@@ -92,15 +92,15 @@ def test_symbol_table(tmp_path):
     assert cost.required_params == ("self",)
     assert cost.returns == "float"
     init = graph.modules["repro.core"]
-    assert init.exports == ("Schedule",)
+    assert init.exports == ("RoundCost",)
 
 
 def test_relative_imports_resolve(tmp_path):
     _, graph = build_mini(tmp_path)
     base = graph.modules["repro.sched.base"]
-    # `from ..core.schedule import Schedule` inside repro/sched/base.py
-    assert base.bindings["Schedule"] == "repro.core.schedule.Schedule"
-    assert "repro.core.schedule" in graph.import_edges["repro.sched.base"]
+    # `from ..core.cost import RoundCost` inside repro/sched/base.py
+    assert base.bindings["RoundCost"] == "repro.core.cost.RoundCost"
+    assert "repro.core.cost" in graph.import_edges["repro.sched.base"]
 
 
 def test_import_closure_includes_package_ancestors(tmp_path):
@@ -110,7 +110,7 @@ def test_import_closure_includes_package_ancestors(tmp_path):
     # repro.sched/__init__ imports olar
     assert "repro.sched" in closure
     assert "repro.sched.base" in closure
-    assert "repro.core.schedule" in closure
+    assert "repro.core.cost" in closure
 
 
 def test_cross_module_subclass_resolution(tmp_path):
@@ -126,12 +126,12 @@ def test_cross_module_subclass_resolution(tmp_path):
 
 def test_resolve_symbol_follows_reexports(tmp_path):
     _, graph = build_mini(tmp_path)
-    # repro.core re-exports Schedule from repro.core.schedule
-    resolved = graph.resolve_symbol("repro.core", "Schedule")
+    # repro.core re-exports RoundCost from repro.core.cost
+    resolved = graph.resolve_symbol("repro.core", "RoundCost")
     assert resolved is not None
     module, name = resolved
-    assert module.name == "repro.core.schedule"
-    assert name == "Schedule"
+    assert module.name == "repro.core.cost"
+    assert name == "RoundCost"
 
 
 def test_call_sites_resolve_through_bindings(tmp_path):

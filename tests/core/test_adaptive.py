@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core.adaptive import AdaptiveScheduler
+from repro.core import build_cost_matrix
 from repro.experiments.realized import realized_times
 from repro.experiments.testbeds import testbed_names
 from repro.models import lenet
+from repro.sched.adaptive import AdaptiveScheduler
+from repro.sched.lbap import fed_lbap
 
 
 def flat_curves(n, value=10.0):
@@ -21,8 +23,8 @@ class TestAdaptiveScheduler:
             total_shards=10,
             shard_size=100,
         ).next_schedule()
-        assert sched.total_shards == 10
-        assert sched.shard_counts[0] > sched.shard_counts[1]
+        assert sched.sum() == 10
+        assert sched[0] > sched[1]
 
     def test_observations_correct_wrong_priors(self):
         """Priors say the users are equal; reality says user 1 is 10x
@@ -36,17 +38,17 @@ class TestAdaptiveScheduler:
         )
         first = ada.next_schedule()
         # Priors are symmetric: roughly even split.
-        assert abs(first.shard_counts[0] - first.shard_counts[1]) <= 2
+        assert abs(first[0] - first[1]) <= 2
         for _ in range(5):
             sched = ada.next_schedule()
-            samples = sched.samples_per_user()
+            samples = sched * 100
             times = [
                 truth[j](float(s)) if s > 0 else 0.0
                 for j, s in enumerate(samples)
             ]
             ada.observe_round(sched, times)
         final = ada.next_schedule()
-        assert final.shard_counts[0] > 3 * final.shard_counts[1]
+        assert final[0] > 3 * final[1]
 
     def test_probing_revives_starved_user(self):
         """A user written off by a bad prior gets probe shards and can
@@ -60,14 +62,14 @@ class TestAdaptiveScheduler:
         )
         for _ in range(6):
             sched = ada.next_schedule()
-            samples = sched.samples_per_user()
+            samples = sched * 100
             times = [
                 truth[j](float(s)) if s > 0 else 0.0
                 for j, s in enumerate(samples)
             ]
             ada.observe_round(sched, times)
         final = ada.next_schedule()
-        assert final.shard_counts[1] >= 5  # rehabilitated
+        assert final[1] >= 5  # rehabilitated
 
     def test_no_probe_starves_forever(self):
         ada = AdaptiveScheduler(
@@ -78,12 +80,12 @@ class TestAdaptiveScheduler:
         )
         for _ in range(4):
             sched = ada.next_schedule()
-            samples = sched.samples_per_user()
+            samples = sched * 100
             times = [
                 0.005 * float(s) if s > 0 else 0.0 for s in samples
             ]
             ada.observe_round(sched, times)
-            assert sched.shard_counts[1] <= 1
+            assert sched[1] <= 1
 
     def test_comm_costs_subtracted_from_observations(self):
         ada = AdaptiveScheduler(
@@ -137,20 +139,12 @@ class TestAdaptiveOnSimulator:
         makespans = []
         for _ in range(4):
             sched = ada.next_schedule()
-            times = realized_times(
-                sched.samples_per_user(), names, model
-            )
-            makespans.append(times[sched.samples_per_user() > 0].max())
+            times = realized_times(sched * d, names, model)
+            makespans.append(times[sched > 0].max())
             ada.observe_round(sched, times)
         # Reference: offline-profiled Fed-LBAP.
-        from repro.core import build_cost_matrix, fed_lbap
-
         curves = cached_time_curves(names, model)
-        ref_sched, _ = fed_lbap(
-            build_cost_matrix(curves, shards, d), shards, d
-        )
-        ref = realized_times(
-            ref_sched.samples_per_user(), names, model
-        ).max()
+        ref_counts, _ = fed_lbap(build_cost_matrix(curves, shards, d), shards)
+        ref = realized_times(ref_counts * d, names, model).max()
         assert makespans[-1] <= ref * 1.25
         assert makespans[-1] <= makespans[0] + 1e-9

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.brute import brute_force_makespan, brute_force_p2, compositions
+from tests.oracles import brute_force_makespan, brute_force_p2, compositions
 
 
 class TestCompositions:

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.brute import brute_force_makespan
-from repro.core.lbap import (
+from repro.sched import SchedulingProblem, get_scheduler
+from repro.sched.lbap import (
     fed_lbap,
     feasible_at_threshold,
     solve_lbap_threshold_exact,
 )
+from tests.oracles import brute_force_makespan, compositions
 
 
 def monotone_cost(rng, n, s, scale=1.0):
@@ -51,7 +52,7 @@ class TestFedLbap:
         sched, c_star = fed_lbap(cost, 12)
         realized = max(
             cost[j, k - 1]
-            for j, k in enumerate(sched.shard_counts)
+            for j, k in enumerate(sched)
             if k > 0
         )
         assert realized <= c_star + 1e-12
@@ -59,19 +60,19 @@ class TestFedLbap:
     def test_total_allocated_exactly(self, rng):
         cost = monotone_cost(rng, 5, 8)
         sched, _ = fed_lbap(cost, 17)
-        assert sched.total_shards == 17
+        assert sched.sum() == 17
 
     def test_heterogeneous_favours_fast_user(self, rng):
         slow = np.cumsum(np.full(10, 10.0))
         fast = np.cumsum(np.full(10, 1.0))
         cost = np.vstack([slow, fast])
         sched, _ = fed_lbap(cost, 10)
-        assert sched.shard_counts[1] > sched.shard_counts[0]
+        assert sched[1] > sched[0]
 
     def test_full_capacity_feasible(self):
         cost = np.cumsum(np.ones((2, 3)), axis=1)
         sched, c_star = fed_lbap(cost, 6)
-        np.testing.assert_array_equal(sched.shard_counts, [3, 3])
+        np.testing.assert_array_equal(sched, [3, 3])
         assert c_star == pytest.approx(3.0)
 
     def test_infeasible_raises(self):
@@ -93,9 +94,10 @@ class TestFedLbap:
 
     def test_shard_size_propagates(self, rng):
         cost = monotone_cost(rng, 3, 5)
-        sched, _ = fed_lbap(cost, 6, shard_size=250)
-        assert sched.shard_size == 250
-        assert sched.total_samples == 1500
+        p = SchedulingProblem(time_cost=cost, total_shards=6, shard_size=250)
+        a = get_scheduler("fed_lbap").schedule(p)
+        assert a.shard_size == 250
+        assert a.samples_per_user().sum() == 1500
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -161,10 +163,10 @@ class TestLbapCapacities:
         cost = np.vstack([cheap, dear])
         unconstrained, c1 = fed_lbap(cost, 8)
         # optimum splits 7/1: max(7*1, 1*5) = 7 beats all-on-cheap (8)
-        assert unconstrained.shard_counts[0] == 7
+        assert unconstrained[0] == 7
         capped, c2 = fed_lbap(cost, 8, capacities=np.array([4, 10]))
-        assert capped.shard_counts[0] <= 4
-        assert capped.total_shards == 8
+        assert capped[0] <= 4
+        assert capped.sum() == 8
         assert c2 >= c1
 
     def test_capacity_infeasible_raises(self, rng):
@@ -182,8 +184,6 @@ class TestLbapCapacities:
             total = int(min(caps.sum(), 8))
             _, c_star = fed_lbap(cost, total, capacities=caps)
             # brute force over capacity-respecting compositions
-            from repro.core.brute import compositions
-
             best = np.inf
             for comp in compositions(total, 3):
                 if any(k > c for k, c in zip(comp, caps)):
@@ -202,8 +202,6 @@ class TestLbapCapacities:
     def test_property_capacity_exactness(self, seed):
         """Capacity-constrained Fed-LBAP equals the capacity-filtered
         exhaustive optimum on every random instance."""
-        from repro.core.brute import compositions
-
         r = np.random.default_rng(seed)
         n = int(r.integers(2, 4))
         s = int(r.integers(2, 6))

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.minavg import fed_minavg
+from repro.core import class_coverage
+from repro.sched import SchedulingProblem, get_scheduler
+from repro.sched.minavg import fed_minavg
 
 
 def linear_curves(slopes):
@@ -23,7 +25,7 @@ class TestInvariants:
             num_classes=10,
             alpha=10.0,
         )
-        assert sched.total_shards == 10
+        assert sched.sum() == 10
 
     def test_capacities_respected(self):
         sched = fed_minavg(
@@ -35,8 +37,8 @@ class TestInvariants:
             alpha=1.0,
             capacities=[4, 10],
         )
-        assert sched.shard_counts[0] <= 4
-        assert sched.total_shards == 10
+        assert sched[0] <= 4
+        assert sched.sum() == 10
 
     def test_infeasible_capacity_raises(self):
         with pytest.raises(ValueError):
@@ -61,18 +63,17 @@ class TestInvariants:
             fed_minavg(linear_curves([0.01]), [(0,)], 0, 100, 10, 1.0)
 
     def test_meta_records_parameters(self):
-        sched = fed_minavg(
-            linear_curves([0.01]),
-            [tuple(range(10))],
-            5,
-            100,
-            10,
+        p = SchedulingProblem(
+            time_cost=np.arange(1.0, 6.0)[None, :],
+            total_shards=5,
+            shard_size=100,
+            user_classes=[tuple(range(10))],
             alpha=7.0,
             beta=1.0,
         )
-        assert sched.meta["alpha"] == 7.0
-        assert sched.meta["coverage"] == 1.0
-        assert sched.algorithm == "fed-minavg"
+        a = get_scheduler("fed_minavg").schedule(p)
+        assert a.meta == {"alpha": 7.0, "beta": 1.0, "semantics": "disjoint"}
+        assert class_coverage(a.shard_counts, p.user_classes, 10) == 1.0
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -101,8 +102,8 @@ class TestInvariants:
             alpha=alpha,
             beta=beta,
         )
-        assert sched.total_shards == total
-        assert (sched.shard_counts >= 0).all()
+        assert sched.sum() == total
+        assert (sched >= 0).all()
 
 
 class TestAlphaBetaDynamics:
@@ -121,12 +122,12 @@ class TestAlphaBetaDynamics:
         curves, classes = self.setup_scenario()
         sched = fed_minavg(curves, classes, 100, 100, 10, alpha=0.0)
         # fastest user dominates when accuracy cost is off
-        assert sched.shard_counts[2] == sched.shard_counts.max()
+        assert sched[2] == sched.max()
 
     def test_large_alpha_starves_few_class_users(self):
         curves, classes = self.setup_scenario()
         sched = fed_minavg(curves, classes, 100, 100, 10, alpha=5000.0)
-        assert sched.shard_counts[2] == 0
+        assert sched[2] == 0
 
     def test_beta_recovers_unique_class_outlier(self):
         curves, classes = self.setup_scenario()
@@ -136,15 +137,15 @@ class TestAlphaBetaDynamics:
         with_beta = fed_minavg(
             curves, classes, 200, 100, 10, alpha=100.0, beta=2.0
         )
-        assert with_beta.shard_counts[2] > without.shard_counts[2]
-        assert with_beta.meta["coverage"] == 1.0
+        assert with_beta[2] > without[2]
+        assert class_coverage(with_beta, classes, 10) == 1.0
 
     def test_beta_coverage_dominates_at_moderate_alpha(self):
         curves, classes = self.setup_scenario()
         sched = fed_minavg(
             curves, classes, 200, 100, 10, alpha=100.0, beta=2.0
         )
-        assert sched.meta["coverage"] == 1.0
+        assert class_coverage(sched, classes, 10) == 1.0
 
     def test_semantics_strict_excludes_shared_class_outlier(self):
         """Under the printed Eq. (6), the outlier sharing class 8 with a
@@ -163,7 +164,7 @@ class TestAlphaBetaDynamics:
         default = fed_minavg(
             curves, classes, 200, 100, 10, alpha=100.0, beta=2.0
         )
-        assert strict.shard_counts[2] <= default.shard_counts[2]
+        assert strict[2] <= default[2]
 
     def test_unknown_semantics_rejected(self):
         curves, classes = self.setup_scenario()
@@ -185,4 +186,4 @@ class TestAlphaBetaDynamics:
             alpha=0.0,
             comm_costs=[0.0, 1e6],
         )
-        assert sched.shard_counts[1] == 0
+        assert sched[1] == 0

@@ -6,10 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.minavg import fed_minavg
-from repro.core.minavg_fast import fed_minavg_affine
 from repro.core.objective import p2_objective
-from repro.core.schedule import Schedule
+from repro.sched.minavg import fed_minavg, fed_minavg_affine
 
 
 def random_instance(seed):
@@ -44,12 +42,7 @@ class TestEquivalence:
         fast = fed_minavg_affine(
             a, b, classes, total, 100, 10, alpha=alpha, beta=beta
         )
-        np.testing.assert_array_equal(
-            ref.shard_counts, fast.shard_counts
-        )
-        assert ref.meta["coverage"] == pytest.approx(
-            fast.meta["coverage"]
-        )
+        np.testing.assert_array_equal(ref, fast)
 
     def test_matches_with_capacities_and_comm(self):
         a = [1.0, 2.0, 0.5]
@@ -72,7 +65,7 @@ class TestEquivalence:
             a, b, classes, 20, 100, 10,
             alpha=50.0, beta=2.0, capacities=caps, comm_costs=comm,
         )
-        np.testing.assert_array_equal(ref.shard_counts, fast.shard_counts)
+        np.testing.assert_array_equal(ref, fast)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -115,17 +108,16 @@ class TestP2Objective:
         return [lambda x: 0.01 * x, lambda x: 0.02 * x]
 
     def test_counts_only_participants(self):
-        sched = Schedule(np.array([5, 0]), 100)
         val = p2_objective(
-            sched, self.curves(), [(0,), (1,)], 10, alpha=1.0
+            [5, 0], 100, self.curves(), [(0,), (1,)], 10, alpha=1.0
         )
         # user 0: T(500)=5 + alpha*K/1 = 10 -> 15
         assert val == pytest.approx(15.0)
 
     def test_comm_added(self):
-        sched = Schedule(np.array([5, 0]), 100)
         val = p2_objective(
-            sched,
+            [5, 0],
+            100,
             self.curves(),
             [(0,), (1,)],
             10,
@@ -145,18 +137,17 @@ class TestP2Objective:
         greedy = fed_minavg(
             curves, classes, 20, 100, 10, alpha=30.0
         )
-        equal = Schedule(np.full(4, 5), 100)
-        g = p2_objective(greedy, curves, classes, 10, alpha=30.0)
-        e = p2_objective(equal, curves, classes, 10, alpha=30.0)
+        equal = np.full(4, 5)
+        g = p2_objective(greedy, 100, curves, classes, 10, alpha=30.0)
+        e = p2_objective(equal, 100, curves, classes, 10, alpha=30.0)
         assert g <= e + 1e-9
 
     def test_validation(self):
-        sched = Schedule(np.array([1]), 100)
         with pytest.raises(ValueError):
-            p2_objective(sched, [], [(0,)], 10, 1.0)
+            p2_objective([1], 100, [], [(0,)], 10, 1.0)
         with pytest.raises(ValueError):
             p2_objective(
-                sched, self.curves()[:1], [(0,)], 10, 1.0,
+                [1], 100, self.curves()[:1], [(0,)], 10, 1.0,
                 comm_costs=[1.0, 2.0],
             )
 
@@ -200,6 +191,4 @@ class TestEquivalenceWithConstraints:
             alpha=alpha, beta=beta,
             capacities=caps.tolist(), comm_costs=comm.tolist(),
         )
-        np.testing.assert_array_equal(
-            ref.shard_counts, fast.shard_counts
-        )
+        np.testing.assert_array_equal(ref, fast)

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.minavg import fed_minavg
-from repro.core.privacy import fed_minavg_private
+from repro.sched.minavg import fed_minavg, fed_minavg_private
 
 
 def curves(slopes):
@@ -32,9 +31,7 @@ class TestPrivateMode:
             total_shards=100,
             shard_size=100,
         )
-        np.testing.assert_array_equal(
-            full.shard_counts, private.shard_counts
-        )
+        np.testing.assert_array_equal(full, private)
 
     def test_private_mode_never_sees_classes(self):
         """The API accepts no class information — construction alone
@@ -45,8 +42,7 @@ class TestPrivateMode:
             total_shards=10,
             shard_size=100,
         )
-        assert sched.meta["private"] is True
-        assert sched.total_shards == 10
+        assert sched.sum() == 10
 
     def test_discount_flags_recover_beta_behaviour(self):
         """With a truthful one-bit flag channel, the unique-class
@@ -71,7 +67,7 @@ class TestPrivateMode:
             beta=beta,
             discount_flags=flags,
         )
-        assert with_flags.shard_counts[2] > without.shard_counts[2]
+        assert with_flags[2] > without[2]
 
     def test_capacities_and_comm(self):
         sched = fed_minavg_private(
@@ -82,8 +78,8 @@ class TestPrivateMode:
             capacities=[6, 10],
             comm_costs=[0.0, 100.0],
         )
-        assert sched.shard_counts[0] == 6  # capped, rest spills over
-        assert sched.total_shards == 10
+        assert sched[0] == 6  # capped, rest spills over
+        assert sched.sum() == 10
 
     def test_validation(self):
         with pytest.raises(ValueError):

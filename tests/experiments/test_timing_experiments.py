@@ -135,7 +135,7 @@ class TestFig5:
 
     def test_schedule_iid_dispatch(self):
         sched = fig5.schedule_iid("equal", 1, "mnist", "lenet", 500)
-        assert sched.total_shards == 120
+        assert sched.sum() == 120
         with pytest.raises(KeyError):
             fig5.schedule_iid("magic", 1, "mnist", "lenet", 500)
 

@@ -1,6 +1,6 @@
 """Brute-force oracles for small scheduling instances.
 
-Used only by the test-suite: exhaustively enumerate every composition of
+Test oracles, not library code: exhaustively enumerate every composition of
 D shards over n users and return the true optimum, validating that
 Fed-LBAP's threshold search is exact and quantifying Fed-MinAvg's
 greedy gap on P2.
@@ -8,13 +8,12 @@ greedy gap on P2.
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .accuracy_cost import accuracy_cost
+from repro.core.accuracy_cost import accuracy_cost
 
 __all__ = ["compositions", "brute_force_makespan", "brute_force_p2"]
 

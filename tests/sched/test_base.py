@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.sched import Assignment, SchedulingProblem
-from repro.core.schedule import Schedule
+from repro.sched import Scheduler, SchedulingProblem
 
 from .conftest import synthetic_problem
 
@@ -94,6 +93,35 @@ class TestValidation:
                 capacities=[2, 2],
             )
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("capacities", np.array([2])),
+            ("weights", np.ones(3)),
+            ("comm_costs", np.ones(2)),
+            ("time_curves", [lambda x: x] * 5),
+        ],
+    )
+    def test_per_user_vectors_must_match_the_user_count(
+        self, field, value
+    ):
+        with pytest.raises(ValueError, match=field):
+            SchedulingProblem(
+                time_cost=np.ones((4, 3)),
+                total_shards=2,
+                **{field: value},
+            )
+
+    def test_per_user_vectors_follow_class_rows(self):
+        p = SchedulingProblem(
+            time_cost=mat([[1.0, 2.0]]),
+            total_shards=2,
+            class_id=np.zeros(3, dtype=np.int64),
+            capacities=[1, 1, 1],
+            weights=np.ones(3),
+        )
+        assert p.n_users == 3
+
     def test_effective_capacities_clip_to_slots(self):
         p = SchedulingProblem(
             time_cost=mat([[1.0, 2.0], [1.0, 2.0]]),
@@ -152,9 +180,17 @@ class TestScoring:
     def test_from_schedule_scores_against_problem(self, problem):
         counts = np.zeros(problem.n_users, dtype=np.int64)
         counts[0] = problem.total_shards
-        sched = Schedule(counts, problem.shard_size, algorithm="x")
-        a = Assignment.from_schedule(problem, sched, "x")
+
+        class AllOnFirst(Scheduler):
+            name = "x"
+
+            def schedule(self, p):
+                return self._finish(p, counts, tag=1)
+
+        a = AllOnFirst().schedule(problem)
         assert a.scheduler == "x"
+        assert a.meta == {"tag": 1}
+        assert a.shard_size == problem.shard_size
         assert a.predicted_makespan_s == pytest.approx(
             problem.time_cost[0, problem.total_shards - 1]
         )

@@ -229,7 +229,7 @@ class TestProblemFromEngine:
         assert p.meta["devices"] == ("nexus6", "mate10", "pixel2")
         # the matrix is usable by every registered scheduler
         a = get_scheduler("olar").schedule(p)
-        assert a.schedule.total_shards == p.total_shards
+        assert a.shard_counts.sum() == p.total_shards
 
     def test_requires_devices(self, tiny_dataset):
         from repro.sched.binding import problem_from_engine

@@ -36,7 +36,7 @@ class TestTestbedProblem:
     def test_every_scheduler_solves_it(self, tb1_problem):
         for name in available_schedulers():
             a = get_scheduler(name).schedule(tb1_problem)
-            assert a.schedule.total_shards == tb1_problem.total_shards
+            assert a.shard_counts.sum() == tb1_problem.total_shards
 
     def test_device_name_list_testbed(self):
         p = testbed_problem(

@@ -5,9 +5,9 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.core.brute import compositions
 from repro.sched import get_scheduler
 from repro.sched.minenergy import min_energy_assign
+from tests.oracles import compositions
 
 from .conftest import synthetic_problem
 

@@ -11,12 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.brute import brute_force_makespan
 from repro.sched import (
     SchedulingProblem,
     available_schedulers,
     get_scheduler,
 )
+from tests.oracles import brute_force_makespan
 
 
 def build_instance(seed, n_users, total_shards, capped):

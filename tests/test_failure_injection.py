@@ -9,7 +9,7 @@ fallbacks), never silently corrupt results.
 import numpy as np
 import pytest
 
-from repro.core import build_cost_matrix, fed_lbap, fed_minavg
+from repro.core import build_cost_matrix
 from repro.data import iid_partition, load_preset, materialize_schedule
 from repro.device import (
     BatteryDepletedError,
@@ -24,6 +24,7 @@ from repro.federated import (
 )
 from repro.models import logistic
 from repro.network.link import Link
+from repro.sched import fed_lbap, fed_minavg
 
 
 class TestBatteryFailures:
@@ -105,7 +106,7 @@ class TestSchedulerFailures:
             num_classes=10,
             alpha=100.0,
         )
-        assert sched.shard_counts[0] == 10
+        assert sched[0] == 10
 
     def test_minavg_exact_capacity_fit(self):
         """Capacities summing exactly to D must be fully used."""
@@ -118,12 +119,12 @@ class TestSchedulerFailures:
             alpha=0.0,
             capacities=[4, 6],
         )
-        np.testing.assert_array_equal(sched.shard_counts, [4, 6])
+        np.testing.assert_array_equal(sched, [4, 6])
 
     def test_lbap_one_shard(self):
         cost = np.cumsum(np.ones((3, 4)), axis=1)
         sched, c = fed_lbap(cost, 1)
-        assert sched.total_shards == 1
+        assert sched.sum() == 1
         assert c == pytest.approx(1.0)
 
 

@@ -8,13 +8,7 @@ all on the simulated substrate.
 import numpy as np
 import pytest
 
-from repro.core import (
-    build_cost_matrix,
-    equal_schedule,
-    evaluate_makespan,
-    fed_lbap,
-    fed_minavg,
-)
+from repro.core import build_cost_matrix, class_coverage
 from repro.data import load_preset, materialize_schedule, partition_from_sizes
 from repro.device import make_device
 from repro.experiments.flruns import scale_counts
@@ -23,6 +17,7 @@ from repro.experiments.testbeds import cached_time_curves, testbed_names
 from repro.federated import FederatedSimulation, SimulationConfig
 from repro.models import build_model, lenet
 from repro.network import make_link
+from repro.sched import equal_schedule, evaluate_makespan, fed_lbap, fed_minavg
 
 
 class TestIidPipeline:
@@ -35,24 +30,24 @@ class TestIidPipeline:
         # 1. profile + schedule
         curves = cached_time_curves(names, model)
         cost = build_cost_matrix(curves, shards, d)
-        sched, bottleneck = fed_lbap(cost, shards, d)
-        assert sched.total_shards == shards
+        sched, bottleneck = fed_lbap(cost, shards)
+        assert sched.sum() == shards
 
         # 2. predicted vs realized makespan agree within profile error
-        realized = realized_times(sched.samples_per_user(), names, model)
-        active = sched.samples_per_user() > 0
+        realized = realized_times(sched * d, names, model)
+        active = sched > 0
         assert realized[active].max() == pytest.approx(
             bottleneck, rel=0.25
         )
 
         # 3. beats Equal on realized makespan
-        eq = equal_schedule(len(names), shards, d)
-        eq_real = realized_times(eq.samples_per_user(), names, model)
+        eq = equal_schedule(len(names), shards)
+        eq_real = realized_times(eq * d, names, model)
         assert realized[active].max() < eq_real.max()
 
         # 4. replay the allocation on the mini dataset and train
         dataset = load_preset("mnist_mini")
-        sizes = scale_counts(sched.shard_counts, 40) * 50
+        sizes = scale_counts(sched, 40) * 50
         rng = np.random.default_rng(0)
         users = partition_from_sizes(dataset, sizes[sizes > 0], rng)
         devices = [
@@ -95,11 +90,11 @@ class TestNonIidPipeline:
             alpha=50.0,
             beta=2.0,
         )
-        assert sched.meta["coverage"] == 1.0
+        assert class_coverage(sched, classes, 10) == 1.0
 
         dataset = load_preset("mnist_mini")
         users = materialize_schedule(
-            dataset, sched.shard_counts, classes, shard_size=50
+            dataset, sched, classes, shard_size=50
         )
         # every user's data stays inside its class set
         for u, cs in zip(users, classes):
@@ -130,8 +125,8 @@ class TestNonIidPipeline:
             num_classes=10,
             alpha=0.0,
         )
-        cost = evaluate_makespan(sched, curves)
-        samples = sched.samples_per_user()
+        samples = sched * 500
+        cost = evaluate_makespan(samples, curves)
         expected = max(
             curves[j](float(s)) for j, s in enumerate(samples) if s > 0
         )
@@ -152,14 +147,14 @@ class TestAtScale:
         model = lenet()
         curves = cached_time_curves(names, model)
         cost = build_cost_matrix(curves, 600, 100)
-        sched, bottleneck = fed_lbap(cost, 600, 100)
-        assert sched.total_shards == 600
-        times = realized_times(sched.samples_per_user(), names, model)
-        active = sched.samples_per_user() > 0
+        sched, bottleneck = fed_lbap(cost, 600)
+        assert sched.sum() == 600
+        times = realized_times(sched * 100, names, model)
+        active = sched > 0
         realized = times[active].max()
         # realized within profile error of the predicted bottleneck
         assert realized == pytest.approx(bottleneck, rel=0.3)
         # and comfortably below what Equal would realize
-        eq = equal_schedule(len(names), 600, 100)
-        eq_real = realized_times(eq.samples_per_user(), names, model)
+        eq = equal_schedule(len(names), 600)
+        eq_real = realized_times(eq * 100, names, model)
         assert realized < eq_real.max()

@@ -9,10 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.core.baselines import equal_schedule, random_schedule
 from repro.core.cost import enforce_property1
-from repro.core.lbap import fed_lbap
-from repro.core.schedule import Schedule, evaluate_makespan
 from repro.data.partition import (
     imbalanced_iid_sizes,
     nclass_noniid_classes,
@@ -22,6 +19,9 @@ from repro.device.thermal import ThermalState
 from repro.federated.server import fedavg_aggregate
 from repro.models.layers import col2im, im2col
 from repro.models.losses import softmax, softmax_cross_entropy
+from repro.sched import evaluate_makespan
+from repro.sched.baselines import equal_schedule, random_schedule
+from repro.sched.lbap import fed_lbap
 
 
 class TestModelProperties:
@@ -190,15 +190,15 @@ class TestSchedulerProperties:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 5))
         cost = np.cumsum(rng.uniform(0.05, 1.0, size=(n, total)), axis=1)
-        sched, c_star = fed_lbap(cost, total)
-        eq = equal_schedule(n, total, 1)
+        _, c_star = fed_lbap(cost, total)
+        eq = equal_schedule(n, total)
 
         def bottleneck(counts):
             return max(
                 cost[j, k - 1] for j, k in enumerate(counts) if k > 0
             )
 
-        assert c_star <= bottleneck(eq.shard_counts) + 1e-12
+        assert c_star <= bottleneck(eq) + 1e-12
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10_000))
@@ -208,9 +208,8 @@ class TestSchedulerProperties:
         slopes = rng.uniform(0.001, 0.1, size=n)
         counts = rng.integers(0, 10, size=n)
         assume(counts.sum() > 0)
-        sched = Schedule(counts, shard_size=100)
         curves = [lambda x, s=s: s * x for s in slopes]
-        cost = evaluate_makespan(sched, curves)
+        cost = evaluate_makespan(counts * 100, curves)
         expected = max(
             slopes[j] * counts[j] * 100
             for j in range(n)
@@ -223,8 +222,8 @@ class TestSchedulerProperties:
     @given(seed=st.integers(0, 10_000), total=st.integers(1, 50))
     def test_random_schedule_total(self, seed, total):
         rng = np.random.default_rng(seed)
-        s = random_schedule(5, total, 10, rng)
-        assert s.total_shards == total
+        s = random_schedule(5, total, rng)
+        assert s.sum() == total
 
 
 class TestTelemetryProperties:

@@ -14,7 +14,6 @@ import numpy as np
 
 from repro import __version__
 from repro.core.cost import curves_from_profiles
-from repro.core.schedule import RoundCost
 from repro.device.registry import COLD_RATE_ANCHORS, DEVICE_NAMES
 from repro.device.thermal import ThrottleDecision
 from repro.engine.engine import (
@@ -41,20 +40,19 @@ from repro.network.link import LINK_PRESETS, WIFI, make_link
 from repro.obs.energy import ClientEnergy
 from repro.obs.recorder import RoundSummary
 from repro.profiling.profiler import DeviceProfile, TimeCurve
-from repro.sched.adapters import (
+from repro.sched.base import RoundCost, Scheduler
+from repro.sched.baselines import (
     EqualScheduler,
-    FedLBAPScheduler,
-    FedMinAvgFastScheduler,
-    FedMinAvgScheduler,
     ProportionalScheduler,
     RandomScheduler,
 )
-from repro.sched.base import Scheduler
 from repro.sched.costs import (
     DEFAULT_ENERGY_SIZES,
     cached_energy_curves,
     clear_cost_cache,
 )
+from repro.sched.lbap import FedLBAPScheduler
+from repro.sched.minavg import FedMinAvgFastScheduler, FedMinAvgScheduler
 from repro.sched.registry import scheduler_class
 
 
