@@ -21,6 +21,8 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
+from ..sched.base import Assignment, Scheduler, SchedulingProblem
+from ..sched.registry import get_scheduler
 from .runner import FleetRunner
 from .sampling import make_sampler
 from .store import DeviceClass, synthetic_fleet
@@ -49,7 +51,9 @@ class FleetBenchRow:
 
     ``build_ms``/``solve_ms`` are per-round means; ``build_ms`` of the
     first round pays the per-class matrix build, later rounds hit the
-    cache, so the mean falls as ``rounds`` grows.
+    cache, so the mean falls as ``rounds`` grows. ``problem_mb`` is the
+    first round's :attr:`SchedulingProblem.nbytes` after its solve, so
+    a per-user expansion the scheduler cached counts.
     """
 
     n: int
@@ -62,6 +66,23 @@ class FleetBenchRow:
     rounds_per_sec: float
     makespan_s: float
     energy_j: float
+    problem_mb: float
+
+
+class _FirstProblemSize(Scheduler):
+    """Delegates to ``inner`` and keeps the size of the first problem
+    it solved, read after the solve."""
+
+    def __init__(self, inner: Scheduler) -> None:
+        self.inner = inner
+        self.name = inner.name
+        self.problem_mb: Optional[float] = None
+
+    def schedule(self, problem: SchedulingProblem) -> Assignment:
+        assignment = self.inner.schedule(problem)
+        if self.problem_mb is None:
+            self.problem_mb = problem.nbytes / 1e6
+        return assignment
 
 
 def git_sha(root: Optional[Path] = None) -> str:
@@ -112,9 +133,10 @@ def bench_fleet(
             1, int(fleet0.data_size.mean()) * k // shard_size
         )
         for name in schedulers:
+            sized = _FirstProblemSize(get_scheduler(name))
             runner = FleetRunner(
                 fleet0.copy(),
-                scheduler=name,
+                scheduler=sized,
                 sampler=make_sampler(sampler, seed=seed),
                 cohort_size=k,
                 shard_size=shard_size,
@@ -136,6 +158,7 @@ def bench_fleet(
                     ),
                     makespan_s=records[-1].makespan_s,
                     energy_j=sum(r.energy_j for r in records),
+                    problem_mb=sized.problem_mb or 0.0,
                 )
             )
     return rows
@@ -150,7 +173,7 @@ def write_bench(
 
     Schema: ``{"schema": 1, "git_sha": ..., "results": [{n, scheduler,
     cohort, rounds, build_ms, solve_ms, round_ms, rounds_per_sec,
-    makespan_s, energy_j}, ...]}``.
+    makespan_s, energy_j, problem_mb}, ...]}``.
     """
     doc: Dict[str, object] = {
         "schema": 1,
@@ -171,6 +194,7 @@ def format_bench(rows: Sequence[FleetBenchRow]) -> str:
         "solve_ms",
         "round_ms",
         "rounds/s",
+        "problem_mb",
     ]
     table = [headers] + [
         [
@@ -181,6 +205,7 @@ def format_bench(rows: Sequence[FleetBenchRow]) -> str:
             f"{r.solve_ms:.2f}",
             f"{r.round_ms:.2f}",
             f"{r.rounds_per_sec:.1f}",
+            f"{r.problem_mb:.3f}",
         ]
         for r in rows
     ]

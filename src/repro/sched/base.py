@@ -179,6 +179,21 @@ class SchedulingProblem:
             )
         return caps
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the instance's arrays, including any per-user
+        expansion a ``dense_*`` accessor has cached."""
+        arrays = (
+            self.time_cost,
+            self.energy_cost,
+            self.class_id,
+            self.capacities,
+            self.comm_costs,
+            self.weights,
+            *self._dense.values(),
+        )
+        return sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
+
     def user_rows(self) -> np.ndarray:
         """Cost-matrix row of every user (``arange`` without classes)."""
         if self.class_id is None:

@@ -343,9 +343,9 @@ def fleet_problem(
     The instance carries the cached per-class matrices of
     :func:`fleet_class_matrices` plus each member's ``class_id``, so
     its size is ``n_classes x shards`` whatever the cohort size;
-    schedulers that need a per-user matrix expand it themselves
-    (``dense_time_cost``). ``meta["build_ms"]`` records the measured
-    host cost. Proportional weights fall out of the class slopes
+    schedulers that need a per-user matrix (MinEnergy) expand it
+    themselves (``dense_time_cost``). ``meta["build_ms"]`` records the
+    measured host cost. Proportional weights fall out of the class slopes
     (samples/second), and raw affine curves ride along for curve-based
     schedulers.
     """

@@ -10,11 +10,22 @@ the others, a threshold ``c*`` is feasible exactly when
 so the optimal makespan is found by binary search over the sorted cost
 values — the paper's O(ns log ns) procedure (O(n^2 log n) when s = n).
 
+Users of one device class share a cost row, so ``fed_lbap`` takes the
+matrix of distinct rows plus a ``rows`` map from user to row. The
+threshold values come from the C rows some user references, and each
+feasibility step runs one ``searchsorted`` per referenced row, gathered
+to the n users: O(Cs log Cs + n log Cs) in all. With one row per user
+(C = n) this is the paper's bound; a fleet cohort of thousands of
+devices over a handful of classes solves in milliseconds.
+
 ``fed_lbap`` returns both a concrete allocation and the optimal
 threshold: each user is given its maximal within-threshold shard count,
-then the surplus over ``D`` is trimmed from the users whose *current*
-cost is highest (this never raises the bottleneck and tends to lower
-the realised makespan below ``c*``).
+then the surplus over ``D`` is trimmed in closed form. Every surplus
+shard sits in a cell costing exactly ``c*``, so the trim takes those
+cells from the lowest-indexed users first — the allocation of removing
+one shard at a time from the user whose *current* cost is highest
+(this never raises the bottleneck and tends to lower the realised
+makespan below ``c*``), without a pass per shard.
 
 ``solve_lbap_threshold_exact`` is a reference implementation of the
 classic LBAP thresholding algorithm (perfect matching via
@@ -46,12 +57,15 @@ def feasible_at_threshold(
     threshold: float,
     total_shards: int,
     capacities: Optional[np.ndarray] = None,
+    rows: Optional[np.ndarray] = None,
 ) -> Tuple[bool, np.ndarray]:
     """Check Property-2 feasibility of a threshold.
 
     Returns ``(feasible, per-user maximal shard counts)``. Rows must be
-    non-decreasing; the per-row count is found with ``searchsorted``
-    and optionally clipped to per-user capacities.
+    non-decreasing; each row's count is found with one
+    ``searchsorted``, gathered by ``rows`` (user ``j`` reads row
+    ``rows[j]``; ``None`` means one row per user) and optionally
+    clipped to per-user capacities.
     """
     # For a non-decreasing row, the count of entries <= threshold is the
     # insertion point of threshold on the right.
@@ -59,59 +73,39 @@ def feasible_at_threshold(
         [int(np.searchsorted(row, threshold, side="right")) for row in cost],
         dtype=np.int64,
     )
+    if rows is not None:
+        counts = counts[rows]
     if capacities is not None:
         counts = np.minimum(counts, capacities)
     return int(counts.sum()) >= total_shards, counts
-
-
-def _trim_to_total(
-    cost: np.ndarray, counts: np.ndarray, total_shards: int
-) -> np.ndarray:
-    """Reduce an over-allocation to exactly ``total_shards`` shards.
-
-    Greedily removes one shard from the user whose current allocation
-    has the highest cost; with non-decreasing rows this is the move that
-    most reduces (never increases) the realised makespan.
-    """
-    counts = counts.copy()
-    surplus = int(counts.sum()) - total_shards
-    if surplus < 0:
-        raise ValueError("cannot trim: allocation already below total")
-    # current cost of each user's last shard (-inf when idle so idle
-    # users are never "trimmed")
-    while surplus > 0:
-        current = np.array(
-            [
-                cost[j, counts[j] - 1] if counts[j] > 0 else -np.inf
-                for j in range(len(counts))
-            ]
-        )
-        j = int(np.argmax(current))
-        if counts[j] == 0:
-            raise RuntimeError("trim ran out of shards to remove")
-        counts[j] -= 1
-        surplus -= 1
-    return counts
 
 
 def fed_lbap(
     cost: np.ndarray,
     total_shards: int,
     capacities: Optional[np.ndarray] = None,
+    rows: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, float]:
     """Run Fed-LBAP on a cost matrix.
 
     Parameters
     ----------
     cost:
-        ``(n_users, s)`` matrix, rows non-decreasing (Property 1);
-        ``cost[j, k]`` is user ``j``'s cost to take ``k+1`` shards.
+        ``(n_rows, s)`` matrix, rows non-decreasing (Property 1);
+        ``cost[r, k]`` is the cost of a row-``r`` user to take ``k+1``
+        shards.
     total_shards:
         The D of Eq. (3), in shards.
     capacities:
         Optional per-user maximum shard counts (storage/battery limits,
         the P2-style C_j carried over to P1). The threshold search
         remains exact: feasibility clips each user at its capacity.
+    rows:
+        Optional ``(n_users,)`` map from user to cost row: user ``j``'s
+        costs are ``cost[rows[j]]``. ``None`` means one row per user.
+        Users sharing a device class share a row, so the solve works
+        on the rows some user references and never builds a per-user
+        matrix.
 
     Returns
     -------
@@ -122,7 +116,17 @@ def fed_lbap(
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2:
         raise ValueError("cost matrix must be 2-D")
-    n, s = cost.shape
+    if rows is None:
+        rows = np.arange(cost.shape[0])
+    else:
+        rows = np.asarray(rows)
+        if rows.ndim != 1 or not np.issubdtype(rows.dtype, np.integer):
+            raise ValueError("rows must be a 1-D integer array")
+        if rows.size and (rows.min() < 0 or rows.max() >= cost.shape[0]):
+            raise ValueError(
+                f"rows entries must index the {cost.shape[0]} cost rows"
+            )
+    n, s = rows.shape[0], cost.shape[1]
     if n == 0:
         raise ValueError(
             "need at least one user (the cost matrix has no rows)"
@@ -146,34 +150,53 @@ def fed_lbap(
         raise ValueError(
             f"infeasible: {total_shards} shards exceed capacity {n * s}"
         )
-    if not np.isfinite(cost).all():
+    # Only referenced rows are checked and searched: they are exactly
+    # the rows of the per-user matrix, so every check and the threshold
+    # value set match those of the expansion.
+    referenced, user_row = np.unique(rows, return_inverse=True)
+    used = cost if referenced.size == cost.shape[0] else cost[referenced]
+    if not np.isfinite(used).all():
         raise ValueError("cost matrix contains NaN/inf entries")
-    if (cost < 0).any():
+    if (used < 0).any():
         raise ValueError(
             "cost matrix contains negative entries (times are seconds)"
         )
-    if (np.diff(cost, axis=1) < -1e-9).any():
+    if (np.diff(used, axis=1) < -1e-9).any():
         raise ValueError(
             "cost rows must be non-decreasing (Property 1); "
             "use cost.enforce_property1 first"
         )
+    # Rows may dent by up to the tolerance above; searchsorted needs
+    # them sorted, so solve on their running maximum.
+    used = np.maximum.accumulate(used, axis=1)
 
-    values = np.unique(cost)
+    def counts_at(threshold: float) -> Tuple[bool, np.ndarray]:
+        return feasible_at_threshold(
+            used, threshold, total_shards, caps, rows=user_row
+        )
+
+    values = np.unique(used)
     lo, hi = 0, len(values) - 1
     # Invariant: values[hi] is always feasible (the max cost admits every
     # cell, and total_shards <= n*s was checked above).
     while lo < hi:
         mid = (lo + hi) // 2
-        feasible, _ = feasible_at_threshold(
-            cost, values[mid], total_shards, caps
-        )
-        if feasible:
+        if counts_at(values[mid])[0]:
             hi = mid
         else:
             lo = mid + 1
     c_star = float(values[lo])
-    _, counts = feasible_at_threshold(cost, c_star, total_shards, caps)
-    counts = _trim_to_total(cost, counts, total_shards)
+    counts = counts_at(c_star)[1]
+    # Trim the surplus. values[lo - 1] is infeasible, so every surplus
+    # shard sits in a cell costing exactly c*. They are removed from
+    # the lowest-indexed users first, each drained of its c* cells
+    # before the next: the result of removing one shard at a time from
+    # the user whose current cost is highest (lowest index on ties).
+    below = counts_at(values[lo - 1])[1] if lo > 0 else 0
+    excess = counts - below
+    surplus = int(counts.sum()) - total_shards
+    before = np.cumsum(excess) - excess
+    counts = counts - np.clip(surplus - before, 0, excess)
     return check_counts(counts, total_shards), c_star
 
 
@@ -233,8 +256,9 @@ class FedLBAPScheduler(Scheduler):
 
     def schedule(self, problem: SchedulingProblem) -> Assignment:
         counts, bottleneck = fed_lbap(
-            problem.dense_time_cost(),
+            problem.time_cost,
             problem.total_shards,
             capacities=problem.capacities,
+            rows=problem.user_rows(),
         )
         return self._finish(problem, counts, bottleneck=bottleneck)

@@ -25,7 +25,7 @@ assignment. Ties break on the lowest user index (heap order on the
 from __future__ import annotations
 
 import heapq
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -39,18 +39,24 @@ def olar_assign(
     cost: np.ndarray,
     total_shards: int,
     capacities: np.ndarray,
+    rows: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Heap greedy over marginal costs; returns per-user shard counts.
 
-    ``cost[j, k]`` is user ``j``'s cost at ``k+1`` shards; rows must be
-    non-decreasing for the optimality guarantee to hold (the caller —
-    :class:`OLARScheduler` — builds matrices through Property-1
-    enforcement).
+    ``cost[r, k]`` is a row-``r`` user's cost at ``k+1`` shards and
+    user ``j`` reads row ``rows[j]`` (``None``: one row per user). Rows
+    must be non-decreasing for the optimality guarantee to hold (the
+    caller — :class:`OLARScheduler` — builds matrices through
+    Property-1 enforcement).
     """
-    n = cost.shape[0]
+    if rows is None:
+        rows = np.arange(cost.shape[0])
+    n = rows.shape[0]
     counts = np.zeros(n, dtype=np.int64)
+    first = cost[rows, 0].tolist()
+    row_of = rows.tolist()
     heap: List[Tuple[float, int]] = [
-        (float(cost[j, 0]), j) for j in range(n) if capacities[j] > 0
+        (first[j], j) for j in range(n) if capacities[j] > 0
     ]
     heapq.heapify(heap)
     for _ in range(total_shards):
@@ -62,7 +68,7 @@ def olar_assign(
         c, j = heapq.heappop(heap)
         counts[j] += 1
         if counts[j] < capacities[j]:
-            heapq.heappush(heap, (float(cost[j, counts[j]]), j))
+            heapq.heappush(heap, (float(cost[row_of[j], counts[j]]), j))
     return counts
 
 
@@ -73,6 +79,9 @@ class OLARScheduler(Scheduler):
     def schedule(self, problem: SchedulingProblem) -> Assignment:
         caps = problem.effective_capacities()
         counts = olar_assign(
-            problem.dense_time_cost(), problem.total_shards, caps
+            problem.time_cost,
+            problem.total_shards,
+            caps,
+            rows=problem.user_rows(),
         )
         return self._finish(problem, counts, makespan_optimal=True)

@@ -63,6 +63,7 @@ class TestBenchFleet:
             assert r.rounds_per_sec > 0
             assert r.makespan_s > 0
             assert r.energy_j > 0
+            assert r.problem_mb > 0
 
     def test_cohort_caps_at_population(self):
         (row,) = bench_fleet(
@@ -102,6 +103,7 @@ class TestWriteBench:
             "rounds_per_sec",
             "makespan_s",
             "energy_j",
+            "problem_mb",
         }
 
     def test_explicit_sha_wins(self, rows, tmp_path):
@@ -129,6 +131,7 @@ class TestFormatBench:
             "solve_ms",
             "round_ms",
             "rounds/s",
+            "problem_mb",
         ]
         assert lines[2].split()[:2] == ["50", "proportional"]
         assert len(lines) == 2 + len(rows)

@@ -154,10 +154,18 @@ def test_class_rows_schedule_like_dense_rows(fleet, restricted):
 
 
 def test_fleet_scale_instance_stays_class_sized():
-    """A 10^4-member cohort over two classes stores two cost rows."""
+    """A 10^4-member cohort over two classes stores two cost rows, and
+    Fed-LBAP and OLAR solve it without expanding them per user."""
+    from repro.sched import get_scheduler
+
     big = toy_fleet(10_000)
     p = fleet_problem(big, shard_size=100)
     assert p.n_users == 10_000
     assert p.time_cost.shape == (2, p.total_shards)
     assert p.energy_cost is not None
     assert p.energy_cost.shape == (2, p.total_shards)
+    size = p.nbytes
+    for name in ("fed_lbap", "olar"):
+        get_scheduler(name).schedule(p)
+        assert p.nbytes == size, name
+    assert not p._dense

@@ -3,7 +3,10 @@
 Test oracles, not library code: exhaustively enumerate every composition of
 D shards over n users and return the true optimum, validating that
 Fed-LBAP's threshold search is exact and quantifying Fed-MinAvg's
-greedy gap on P2.
+greedy gap on P2. ``fed_lbap_greedy`` keeps the per-user Fed-LBAP
+kernel that ``repro.sched.lbap`` replaced (a Python pass per
+feasibility step and per surplus shard) as the reference the
+class-row solver must match exactly.
 """
 
 from __future__ import annotations
@@ -15,7 +18,12 @@ import numpy as np
 
 from repro.core.accuracy_cost import accuracy_cost
 
-__all__ = ["compositions", "brute_force_makespan", "brute_force_p2"]
+__all__ = [
+    "compositions",
+    "brute_force_makespan",
+    "brute_force_p2",
+    "fed_lbap_greedy",
+]
 
 
 def compositions(total: int, parts: int) -> Iterator[Tuple[int, ...]]:
@@ -117,3 +125,73 @@ def brute_force_p2(
     if best is None:
         raise ValueError("instance infeasible under the given capacities")
     return best, float(best_val)
+
+
+def _feasible_counts(
+    cost: np.ndarray, threshold: float, capacities: Optional[np.ndarray]
+) -> np.ndarray:
+    counts = np.array(
+        [int(np.searchsorted(row, threshold, side="right")) for row in cost],
+        dtype=np.int64,
+    )
+    if capacities is not None:
+        counts = np.minimum(counts, capacities)
+    return counts
+
+
+def _trim_to_total(
+    cost: np.ndarray, counts: np.ndarray, total_shards: int
+) -> np.ndarray:
+    """Reduce an over-allocation to exactly ``total_shards`` shards.
+
+    Greedily removes one shard from the user whose current allocation
+    has the highest cost (``argmax``: the lowest index on ties).
+    """
+    counts = counts.copy()
+    surplus = int(counts.sum()) - total_shards
+    if surplus < 0:
+        raise ValueError("cannot trim: allocation already below total")
+    # current cost of each user's last shard (-inf when idle so idle
+    # users are never "trimmed")
+    while surplus > 0:
+        current = np.array(
+            [
+                cost[j, counts[j] - 1] if counts[j] > 0 else -np.inf
+                for j in range(len(counts))
+            ]
+        )
+        j = int(np.argmax(current))
+        if counts[j] == 0:
+            raise RuntimeError("trim ran out of shards to remove")
+        counts[j] -= 1
+        surplus -= 1
+    return counts
+
+
+def fed_lbap_greedy(
+    cost: np.ndarray,
+    total_shards: int,
+    capacities: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, float]:
+    """Per-user Fed-LBAP: binary search over ``np.unique(cost)`` with a
+    row-by-row feasibility count, then a one-shard-at-a-time trim.
+
+    ``cost`` is ``(n_users, s)`` with non-decreasing rows; returns
+    ``(counts, c*)`` like :func:`repro.sched.lbap.fed_lbap`.
+    """
+    cost = np.asarray(cost, dtype=np.float64)
+    s = cost.shape[1]
+    caps = None
+    if capacities is not None:
+        caps = np.minimum(np.asarray(capacities, dtype=np.int64), s)
+    values = np.unique(cost)
+    lo, hi = 0, len(values) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _feasible_counts(cost, values[mid], caps).sum() >= total_shards:
+            hi = mid
+        else:
+            lo = mid + 1
+    c_star = float(values[lo])
+    counts = _feasible_counts(cost, c_star, caps)
+    return _trim_to_total(cost, counts, total_shards), c_star

@@ -85,6 +85,17 @@ class TestValidation:
         assert p.predicted_makespan(counts) == 3.0
         assert p.predicted_energy(counts) == 2.5
 
+    def test_nbytes_counts_arrays_and_the_expansion(self):
+        p = SchedulingProblem(
+            time_cost=mat([[1.0, 2.0], [3.0, 5.0]]),
+            energy_cost=mat([[0.5, 1.0], [2.0, 4.0]]),
+            total_shards=2,
+            class_id=np.array([1, 0, 1]),
+        )
+        assert p.nbytes == 2 * 4 * 8 + 3 * 8
+        p.dense_time_cost()
+        assert p.nbytes == 2 * 4 * 8 + 3 * 8 + 6 * 8
+
     def test_capacity_infeasibility(self):
         with pytest.raises(ValueError, match="infeasible"):
             SchedulingProblem(
